@@ -15,10 +15,11 @@
    so bench trajectories are diffable across commits (BENCH_0.json is
    the seed of that trajectory; scripts/ci.sh archives the current
    run).
-   --max-ns-per-op NAME:BOUND (repeatable) turns the run into a latency
-   gate: exit 2 if the named bechamel estimate exceeds BOUND ns;
-   --gate-only additionally skips the experiment catalogue (the CI
-   real-runtime regression gate). *)
+   --max-floor-ratio NAME:RATIO (repeatable) turns the run into a
+   latency gate: exit 2 if the median over five rounds of the named
+   bechamel estimate's per-round ratio to the cas/raw floor exceeds
+   RATIO; --gate-only skips everything else (the CI real-runtime
+   regression gate). *)
 
 open Bechamel
 open Toolkit
@@ -87,47 +88,48 @@ let larson_test name =
          I.instance_free inst slots.(s);
          slots.(s) <- I.instance_malloc inst (Mm_runtime.Prng.int_in rng 16 80)))
 
+(* The bechamel rows, as (group, tests). *)
+let groups () =
+  [
+    ( "latency",
+      List.map pair_test Mm_harness.Allocators.names
+      @ List.map larson_test Mm_harness.Allocators.names
+      @ List.map lock_test
+          [
+            ("tas-backoff", Cfg.Tas_backoff);
+            ("ticket", Cfg.Ticket);
+            ("pthread-like", Cfg.Pthread_like);
+          ] );
+    ("dispatch", dispatch_tests ());
+  ]
+
+(* stabilize:false — GC stabilization between samples perturbs these
+   sub-microsecond measurements far more than the GC itself does. *)
+let cfg_b =
+  Benchmark.cfg ~limit:3000 ~quota:(Time.second 0.5) ~stabilize:false
+    ~kde:None ()
+
+let ols = Analyze.ols ~r_square:true ~bootstrap:0 ~predictors:[| Measure.run |]
+
+(* One OLS estimate (ns/op) per test, named "group/test". *)
+let measure (group, tests) =
+  let raw =
+    Benchmark.all cfg_b [ Instance.monotonic_clock ]
+      (Test.make_grouped ~name:group tests)
+  in
+  let results = Analyze.all ols Instance.monotonic_clock raw in
+  Hashtbl.fold
+    (fun name ols acc ->
+      let est =
+        match Analyze.OLS.estimates ols with
+        | Some (e :: _) -> Some e
+        | _ -> None
+      in
+      (name, est) :: acc)
+    results []
+
 let run_bechamel () =
-  let groups =
-    [
-      Test.make_grouped ~name:"latency"
-        (List.map pair_test Mm_harness.Allocators.names
-        @ List.map larson_test Mm_harness.Allocators.names
-        @ List.map lock_test
-            [
-              ("tas-backoff", Cfg.Tas_backoff);
-              ("ticket", Cfg.Ticket);
-              ("pthread-like", Cfg.Pthread_like);
-            ]);
-      Test.make_grouped ~name:"dispatch" (dispatch_tests ());
-    ]
-  in
-  (* stabilize:false — GC stabilization between samples perturbs these
-     sub-microsecond measurements far more than the GC itself does. *)
-  let cfg_b =
-    Benchmark.cfg ~limit:3000 ~quota:(Time.second 0.5) ~stabilize:false
-      ~kde:None ()
-  in
-  let ols =
-    Analyze.ols ~r_square:true ~bootstrap:0 ~predictors:[| Measure.run |]
-  in
-  let estimates =
-    List.concat_map
-      (fun tests ->
-        let raw = Benchmark.all cfg_b [ Instance.monotonic_clock ] tests in
-        let results = Analyze.all ols Instance.monotonic_clock raw in
-        Hashtbl.fold
-          (fun name ols acc ->
-            let est =
-              match Analyze.OLS.estimates ols with
-              | Some (e :: _) -> Some e
-              | _ -> None
-            in
-            (name, est) :: acc)
-          results [])
-      groups
-    |> List.sort compare
-  in
+  let estimates = List.concat_map measure (groups ()) |> List.sort compare in
   print_endline
     "== Bechamel: contention-free latency (real runtime, 1 thread) ==";
   List.iter print_endline
@@ -277,27 +279,36 @@ let bench_json ~full ~seed estimates contended outcomes =
     ]
 
 (* ------------------------------------------------------------------ *)
-(* Latency gates (CI): --max-ns-per-op NAME:BOUND (repeatable) fails
-   the run (exit 2) when the named bechamel estimate exceeds BOUND
-   nanoseconds; --gate-only skips the experiment catalogue, so the CI
+(* Latency gates (CI): --max-floor-ratio NAME:RATIO (repeatable) fails
+   the run (exit 2) when the named row costs more than RATIO times the
+   same round's [floor_row] estimate, so a host's speed and its slow
+   phases cancel out; --gate-only skips everything else, so the CI
    real-runtime gate stays fast. NAME matches a full bechamel test name
-   or any "/"-separated suffix of one ("malloc+free/new-cached"). *)
+   or any "/"-separated suffix of one ("malloc+free/new-cached"). The
+   gated rows and the floor are measured in [gate_rounds] rounds and
+   each gate compares the median of its per-round ratio with RATIO, so
+   one noisy round cannot flip it. *)
+
+let floor_row = "cas/raw"
+let gate_rounds = 5
 
 let gates () =
   let rec parse = function
-    | "--max-ns-per-op" :: spec :: rest -> (
-        match String.rindex_opt spec ':' with
-        | Some i ->
-            let name = String.sub spec 0 i
-            and bound = String.sub spec (i + 1) (String.length spec - i - 1) in
-            (match float_of_string_opt bound with
-            | Some b -> (name, b) :: parse rest
-            | None ->
-                Printf.eprintf "bench: bad --max-ns-per-op bound %S\n%!" spec;
-                exit 1)
+    | "--max-floor-ratio" :: spec :: rest -> (
+        let gate =
+          match String.rindex_opt spec ':' with
+          | Some i ->
+              Option.map
+                (fun r -> (String.sub spec 0 i, r))
+                (float_of_string_opt
+                   (String.sub spec (i + 1) (String.length spec - i - 1)))
+          | None -> None
+        in
+        match gate with
+        | Some g -> g :: parse rest
         | None ->
             Printf.eprintf
-              "bench: --max-ns-per-op wants NAME:BOUND, got %S\n%!" spec;
+              "bench: --max-floor-ratio wants NAME:RATIO, got %S\n%!" spec;
             exit 1)
     | _ :: rest -> parse rest
     | [] -> []
@@ -306,26 +317,63 @@ let gates () =
 
 let gate_only () = Array.exists (( = ) "--gate-only") Sys.argv
 
-let apply_gates gates estimates =
-  let matches name (ename, _) =
-    ename = name || String.ends_with ~suffix:("/" ^ name) ename
+let matches name ename =
+  ename = name || String.ends_with ~suffix:("/" ^ name) ename
+
+let median = function
+  | [] -> None
+  | l ->
+      let a = Array.of_list l in
+      Array.sort compare a;
+      let n = Array.length a in
+      Some
+        (if n mod 2 = 1 then a.(n / 2)
+         else (a.((n / 2) - 1) +. a.(n / 2)) /. 2.)
+
+let apply_gates gates =
+  let wanted ename =
+    matches floor_row ename
+    || List.exists (fun (name, _) -> matches name ename) gates
   in
+  let selected =
+    List.filter_map
+      (fun (group, tests) ->
+        match
+          List.filter (fun t -> wanted (group ^ "/" ^ Test.name t)) tests
+        with
+        | [] -> None
+        | l -> Some (group, l))
+      (groups ())
+  in
+  let rounds =
+    List.init gate_rounds (fun _ -> List.concat_map measure selected)
+  in
+  let find name round =
+    List.find_map
+      (fun (ename, est) -> if matches name ename then est else None)
+      round
+  in
+  let ratio name round =
+    match (find name round, find floor_row round) with
+    | Some e, Some f -> Some (e /. f)
+    | _ -> None
+  in
+  let unit = "x " ^ floor_row in
   let failed =
     List.filter_map
-      (fun (name, bound) ->
-        match List.find_opt (matches name) estimates with
-        | None | Some (_, None) ->
-            Some (Printf.sprintf "%s: no estimate (bound %.1f ns)" name bound)
-        | Some (ename, Some e) ->
-            if e > bound then
-              Some
-                (Printf.sprintf "%s: %.1f ns/op exceeds the %.1f ns gate"
-                   ename e bound)
-            else begin
-              Printf.printf "gate ok: %s at %.1f ns/op (bound %.1f ns)\n%!"
-                ename e bound;
-              None
-            end)
+      (fun (name, b) ->
+        match median (List.filter_map (ratio name) rounds) with
+        | None ->
+            Some
+              (Printf.sprintf "%s: no estimate (bound %.2f %s)" name b unit)
+        | Some v when v > b ->
+            Some
+              (Printf.sprintf "%s: median %.2f %s exceeds the %.2f %s gate" name
+                 v unit b unit)
+        | Some v ->
+            Printf.printf "gate ok: %s median %.2f %s (bound %.2f %s)\n%!" name
+              v unit b unit;
+            None)
       gates
   in
   if failed <> [] then begin
@@ -346,9 +394,10 @@ let () =
   Printf.printf "mmalloc bench harness (%s mode, seed %d)\n\n%!"
     (if full then "full" else "quick")
     seed;
-  let estimates = run_bechamel () in
-  apply_gates (gates ()) estimates;
+  let gates = gates () in
+  if gates <> [] then apply_gates gates;
   if gate_only () then exit 0;
+  let estimates = run_bechamel () in
   let contended = run_contended ~seed in
   let outcomes =
     List.map

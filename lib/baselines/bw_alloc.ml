@@ -141,9 +141,9 @@ module Make (Rt : Mm_runtime.Runtime_intf.S) = struct
     if n < 0 then invalid_arg "Bw_alloc.malloc: negative size";
     let tid = Rt.self t.rt in
     t.mallocs.(tid) <- t.mallocs.(tid) + 1;
-    match Sc.class_of_request t.classes n with
-    | None -> large_malloc t n
-    | Some sc ->
+    let sc = Sc.class_of_request t.classes n in
+    if sc = Sc.large then large_malloc t n
+    else begin
         let k = (tid * t.nclasses) + sc in
         if t.alloc_len.(k) = 0 then refill t k sc;
         let base = t.alloc_head.(k) in
@@ -151,13 +151,16 @@ module Make (Rt : Mm_runtime.Runtime_intf.S) = struct
         t.alloc_head.(k) <- Store.read_word t.store (base + link_off);
         t.alloc_len.(k) <- t.alloc_len.(k) - 1;
         base + Prefix.prefix_bytes
+    end
 
   let free t payload =
     if payload = Addr.null then ()
     else begin
       let tid = Rt.self t.rt in
       t.frees.(tid) <- t.frees.(tid) + 1;
-      let payload, prefix, _ = Store.resolve t.store payload in
+      let w = Store.read_word t.store (payload - Prefix.prefix_bytes) in
+      let prefix = Store.resolve t.store payload w in
+      let payload = Prefix.base_payload payload w in
       let base = payload - Prefix.prefix_bytes in
       if Prefix.is_large prefix then Store.free_large t.store base
       else begin
@@ -178,7 +181,9 @@ module Make (Rt : Mm_runtime.Runtime_intf.S) = struct
     end
 
   let usable_size t payload =
-    let _, prefix, delta = Store.resolve t.store payload in
+    let w = Store.read_word t.store (payload - Prefix.prefix_bytes) in
+    let prefix = Store.resolve t.store payload w in
+    let delta = payload - Prefix.base_payload payload w in
     let base =
       if Prefix.is_large prefix then
         Prefix.large_len prefix - Prefix.prefix_bytes

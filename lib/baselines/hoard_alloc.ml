@@ -18,6 +18,7 @@ module Make (Rt : Mm_runtime.Runtime_intf.S) = struct
       releases surplus empty superblocks to the OS. *)
 
   module Cfg = Mm_mem.Alloc_config
+  module Store = Mm_mem.Store.Make (Rt)
   module Prefix = Mm_mem.Block_prefix
   module Addr = Mm_mem.Addr
 
@@ -56,9 +57,9 @@ module Make (Rt : Mm_runtime.Runtime_intf.S) = struct
   let malloc t n =
     if n < 0 then invalid_arg "Hoard_alloc.malloc: negative size";
     Sb_heap.charge_overhead t.ctx;
-    match Sb_heap.class_of_request t.ctx n with
-    | None -> Sb_heap.large_malloc t.ctx n
-    | Some sc ->
+    let sc = Sb_heap.class_of_request t.ctx n in
+    if sc = Mm_mem.Size_class.large then Sb_heap.large_malloc t.ctx n
+    else
         let heap = my_heap t in
         Locks.with_lock (Sb_heap.heap_lock heap) (fun () ->
             match Sb_heap.pop_block t.ctx heap sc with
@@ -81,7 +82,9 @@ module Make (Rt : Mm_runtime.Runtime_intf.S) = struct
     if payload = Addr.null then ()
     else begin
       Sb_heap.charge_overhead t.ctx;
-      let payload, prefix, _ = Sb_heap.resolve_payload t.ctx payload in
+      let w = Store.read_word (store t) (payload - Prefix.prefix_bytes) in
+      let prefix = Store.resolve (store t) payload w in
+      let payload = Prefix.base_payload payload w in
       let base = payload - Prefix.prefix_bytes in
       if Prefix.is_large prefix then Sb_heap.large_free t.ctx base
       else begin

@@ -102,10 +102,10 @@ module Make (Rt : Mm_runtime.Runtime_intf.S) = struct
 
   let class_of_request ctx n = Sc.class_of_request ctx.classes n
 
-  let resolve_payload ctx payload = Store.resolve ctx.store payload
-
   let usable_size ctx payload =
-    let _, prefix, delta = resolve_payload ctx payload in
+    let w = Store.read_word ctx.store (payload - Prefix.prefix_bytes) in
+    let prefix = Store.resolve ctx.store payload w in
+    let delta = payload - Prefix.base_payload payload w in
     let base =
       if Prefix.is_large prefix then
         Prefix.large_len prefix - Prefix.prefix_bytes

@@ -51,12 +51,12 @@ module Make (Rt : Mm_runtime.Runtime_intf.S) : sig
   val heap_of_uid : ctx -> int -> heap
   val sdesc_of_prefix : ctx -> int -> Sdesc.t
 
-  val class_of_request : ctx -> int -> int option
+  val class_of_request : ctx -> int -> int
+  (** {!Mm_mem.Size_class.class_of_request}: a class, or
+      {!Mm_mem.Size_class.large}. *)
+
   val large_malloc : ctx -> int -> int
   val large_free : ctx -> int -> unit
-
-  val resolve_payload : ctx -> int -> int * int * int
-  (** See {!Mm_mem.Alloc_ops.resolve}: [(payload, prefix, delta)]. *)
 
   val usable_size : ctx -> int -> int
 

@@ -31,6 +31,9 @@ module Make (Rt : Mm_runtime.Runtime_intf.S) = struct
 
   type t = {
     backend : Lf_alloc.t;
+    store : Store.t;
+    classes : Sc.t;
+    nheaps : int;
     rt : Rt.t;
     cfg : Cfg.t;
     enabled : bool;
@@ -63,6 +66,9 @@ module Make (Rt : Mm_runtime.Runtime_intf.S) = struct
     in
     {
       backend;
+      store = Lf_alloc.store backend;
+      classes = Lf_alloc.size_classes backend;
+      nheaps = Lf_alloc.nheaps backend;
       rt;
       cfg;
       enabled = cfg.cache;
@@ -80,15 +86,13 @@ module Make (Rt : Mm_runtime.Runtime_intf.S) = struct
 
   let backend t = t.backend
   let rt t = t.rt
-  let store t = Lf_alloc.store t.backend
+  let store t = t.store
   let usable_size t payload = Lf_alloc.usable_size t.backend payload
-  let bump t arr = arr.(Rt.self t.rt) <- arr.(Rt.self t.rt) + 1
-  let add_n t arr n = arr.(Rt.self t.rt) <- arr.(Rt.self t.rt) + n
-  let my_cache t = t.caches.(Rt.self t.rt)
 
   (* Hot entry points resolve [Rt.self] once (a domain-local lookup on
      the real runtime) and index the striped state directly. *)
   let bump_at tid arr = arr.(tid) <- arr.(tid) + 1
+  let add_at tid arr n = arr.(tid) <- arr.(tid) + n
 
   let malloc t n =
     if not t.enabled then Lf_alloc.malloc t.backend n
@@ -96,44 +100,45 @@ module Make (Rt : Mm_runtime.Runtime_intf.S) = struct
       if n < 0 then invalid_arg "Lf_alloc.malloc: negative size";
       let tid = Rt.self t.rt in
       bump_at tid t.mallocs;
-      match Sc.class_of_request (Lf_alloc.size_classes t.backend) n with
-      | None -> Lf_alloc.malloc t.backend n
-      | Some sc -> (
-          let c = t.caches.(tid) in
-          if c.lens.(sc) > 0 then begin
-            (* Hit: pure thread-local pop, zero shared accesses. *)
-            bump_at tid t.hits;
-            Rt.obs_event t.rt Rt.Obs.Transition "bc.hit";
-            c.lens.(sc) <- c.lens.(sc) - 1;
-            c.stacks.(sc).(c.lens.(sc))
-          end
-          else begin
-            bump_at tid t.misses;
-            Rt.obs_event t.rt Rt.Obs.Transition "bc.miss";
-            match
-              Lf_alloc.refill_batch t.backend ~sc ~max:t.cfg.cache_batch
-            with
-            | [] ->
-                (* No active superblock: the ordinary Fig. 4 slow paths
-                   (partial / new superblock) install one. *)
-                Lf_alloc.malloc t.backend n
-            | payload :: rest ->
-                bump t t.refills;
-                add_n t t.refilled_blocks (1 + List.length rest);
-                Rt.obs_event t.rt Rt.Obs.Transition "bc.refill";
-                List.iter
-                  (fun p ->
-                    c.stacks.(sc).(c.lens.(sc)) <- p;
-                    c.lens.(sc) <- c.lens.(sc) + 1)
-                  rest;
-                payload
-          end)
+      let sc = Sc.class_of_request t.classes n in
+      if sc = Sc.large then Lf_alloc.malloc t.backend n
+      else begin
+        let c = t.caches.(tid) in
+        if c.lens.(sc) > 0 then begin
+          (* Hit: pure thread-local pop, zero shared accesses. *)
+          bump_at tid t.hits;
+          Rt.obs_event t.rt Rt.Obs.Transition "bc.hit";
+          c.lens.(sc) <- c.lens.(sc) - 1;
+          c.stacks.(sc).(c.lens.(sc))
+        end
+        else begin
+          bump_at tid t.misses;
+          Rt.obs_event t.rt Rt.Obs.Transition "bc.miss";
+          match
+            Lf_alloc.refill_batch t.backend ~sc ~max:t.cfg.cache_batch
+          with
+          | [] ->
+              (* No active superblock: the ordinary Fig. 4 slow paths
+                 (partial / new superblock) install one. *)
+              Lf_alloc.malloc t.backend n
+          | payload :: rest ->
+              bump_at tid t.refills;
+              add_at tid t.refilled_blocks (1 + List.length rest);
+              Rt.obs_event t.rt Rt.Obs.Transition "bc.refill";
+              List.iter
+                (fun p ->
+                  c.stacks.(sc).(c.lens.(sc)) <- p;
+                  c.lens.(sc) <- c.lens.(sc) + 1)
+                rest;
+              payload
+        end
+      end
     end
 
-  let flush_remote t (c : cache) =
+  let flush_remote t tid (c : cache) =
     if c.remote_len > 0 then begin
-      bump t t.flushes;
-      add_n t t.flushed_blocks c.remote_len;
+      bump_at tid t.flushes;
+      add_at tid t.flushed_blocks c.remote_len;
       Rt.obs_event t.rt Rt.Obs.Transition "bc.flush";
       let batch = Array.to_list (Array.sub c.remote 0 c.remote_len) in
       c.remote_len <- 0;
@@ -142,10 +147,10 @@ module Make (Rt : Mm_runtime.Runtime_intf.S) = struct
 
   (* Overflow eviction: flush the [cache_batch] oldest (bottom-of-stack)
      blocks so the most recently freed — hottest in cache — stay. *)
-  let flush_overflow t (c : cache) sc =
+  let flush_overflow t tid (c : cache) sc =
     let k = t.cfg.cache_batch in
-    bump t t.flushes;
-    add_n t t.flushed_blocks k;
+    bump_at tid t.flushes;
+    add_at tid t.flushed_blocks k;
     Rt.obs_event t.rt Rt.Obs.Transition "bc.flush";
     let st = c.stacks.(sc) in
     let batch = Array.to_list (Array.sub st 0 k) in
@@ -159,40 +164,45 @@ module Make (Rt : Mm_runtime.Runtime_intf.S) = struct
     else begin
       let tid = Rt.self t.rt in
       bump_at tid t.frees;
-      match Lf_alloc.classify t.backend payload with
-      | `Large -> Lf_alloc.free t.backend payload
-      | `Small (base_payload, sc, local) ->
-          let c = t.caches.(tid) in
-          if local then begin
-            if c.lens.(sc) = t.cfg.cache_blocks then flush_overflow t c sc;
-            c.stacks.(sc).(c.lens.(sc)) <- base_payload;
-            c.lens.(sc) <- c.lens.(sc) + 1
-          end
-          else begin
-            (* Remote block: never cache another heap's blocks (they would
-               be handed out by the wrong heap's threads and defeat the
-               paper's heap affinity); buffer and push back in batches. *)
-            bump_at tid t.remote_frees;
-            c.remote.(c.remote_len) <- base_payload;
-            c.remote_len <- c.remote_len + 1;
-            if c.remote_len = t.cfg.cache_batch then flush_remote t c
-          end
+      let w = Store.read_word t.store (payload - Prefix.prefix_bytes) in
+      let gid = Lf_alloc.classify t.backend payload w in
+      if gid < 0 then Lf_alloc.free t.backend payload
+      else begin
+        let base_payload = Prefix.base_payload payload w in
+        let sc = gid / t.nheaps in
+        let c = t.caches.(tid) in
+        if gid - (sc * t.nheaps) = tid mod t.nheaps then begin
+          if c.lens.(sc) = t.cfg.cache_blocks then flush_overflow t tid c sc;
+          c.stacks.(sc).(c.lens.(sc)) <- base_payload;
+          c.lens.(sc) <- c.lens.(sc) + 1
+        end
+        else begin
+          (* Remote block: never cache another heap's blocks (they would
+             be handed out by the wrong heap's threads and defeat the
+             paper's heap affinity); buffer and push back in batches. *)
+          bump_at tid t.remote_frees;
+          c.remote.(c.remote_len) <- base_payload;
+          c.remote_len <- c.remote_len + 1;
+          if c.remote_len = t.cfg.cache_batch then flush_remote t tid c
+        end
+      end
     end
 
   let flush_current t =
-    let c = my_cache t in
+    let tid = Rt.self t.rt in
+    let c = t.caches.(tid) in
     Array.iteri
       (fun sc len ->
         if len > 0 then begin
-          bump t t.flushes;
-          add_n t t.flushed_blocks len;
+          bump_at tid t.flushes;
+          add_at tid t.flushed_blocks len;
           Rt.obs_event t.rt Rt.Obs.Transition "bc.flush";
           let batch = Array.to_list (Array.sub c.stacks.(sc) 0 len) in
           c.lens.(sc) <- 0;
           Lf_alloc.flush_batch t.backend batch
         end)
       c.lens;
-    flush_remote t c
+    flush_remote t tid c
 
   let sum = Array.fold_left ( + ) 0
 
@@ -225,8 +235,8 @@ module Make (Rt : Mm_runtime.Runtime_intf.S) = struct
        carries a small-block prefix of the class it is filed under. Then
        the backend's full invariants — cached blocks count as allocated
        there, so nothing below can reclaim their superblocks. *)
-    let classes = Lf_alloc.size_classes t.backend in
-    let st = store t in
+    let classes = t.classes in
+    let st = t.store in
     let seen : (int, unit) Hashtbl.t = Hashtbl.create 64 in
     let check_block ~tid ~where p =
       if Hashtbl.mem seen p then

@@ -83,7 +83,10 @@ module Make (Rt : Mm_runtime.Runtime_intf.S) = struct
         ~hyperblocks:cfg.hyperblocks ()
     in
     let table = Descriptor.create_table rt ~capacity:(2 * cfg.store_capacity) in
-    let stripe arr () = arr.(Rt.self rt) <- arr.(Rt.self rt) + 1 in
+    let stripe arr () =
+      let tid = Rt.self rt in
+      arr.(tid) <- arr.(tid) + 1
+    in
     let retry_desc_spill = Array.make Rt.max_threads 0 in
     let retry_desc_steal = Array.make Rt.max_threads 0 in
     let pool =
@@ -112,10 +115,7 @@ module Make (Rt : Mm_runtime.Runtime_intf.S) = struct
     let retry_adopt = Array.make Rt.max_threads 0 in
     let sbc =
       Sb_cache.create rt ~depth:cfg.sb_cache_depth ~nclasses ~table
-        ~on_park_retry:(fun () ->
-          retry_park.(Rt.self rt) <- retry_park.(Rt.self rt) + 1)
-        ~on_adopt_retry:(fun () ->
-          retry_adopt.(Rt.self rt) <- retry_adopt.(Rt.self rt) + 1)
+        ~on_park_retry:(stripe retry_park) ~on_adopt_retry:(stripe retry_adopt)
         ()
     in
     let retry_buddy_acquire = Array.make Rt.max_threads 0 in
@@ -165,7 +165,9 @@ module Make (Rt : Mm_runtime.Runtime_intf.S) = struct
       owned = Array.init Rt.max_threads (fun _ -> Array.make nclasses 0);
     }
 
-  let bump t arr = arr.(Rt.self t.rt) <- arr.(Rt.self t.rt) + 1
+  let bump t arr =
+    let tid = Rt.self t.rt in
+    arr.(tid) <- arr.(tid) + 1
   let fail fmt = Format.kasprintf failwith fmt
 
   let site_counter t = function
@@ -234,20 +236,18 @@ module Make (Rt : Mm_runtime.Runtime_intf.S) = struct
   (* ------------------------------------------------------------------ *)
   (* HeapPutPartial / HeapGetPartial / RemoveEmptyDesc (Figs. 4 & 6). *)
 
+  let rec hpp_swap t heap id spins =
+    let prev = Rt.Atomic.get heap.partial in
+    Rt.label t.rt Labels.free_put_partial;
+    if Rt.Atomic.compare_and_set heap.partial prev id then prev
+    else begin
+      bump t t.retry_partial_slot;
+      hpp_swap t heap id (Backoff.spin t.rt spins)
+    end
+
   let heap_put_partial t desc =
     let heap = heap_of_gid t desc.Descriptor.heap_gid in
-    let b = Backoff.create t.rt in
-    let rec swap () =
-      let prev = Rt.Atomic.get heap.partial in
-      Rt.label t.rt Labels.free_put_partial;
-      if Rt.Atomic.compare_and_set heap.partial prev desc.Descriptor.id then prev
-      else begin
-        bump t t.retry_partial_slot;
-        Backoff.once b;
-        swap ()
-      end
-    in
-    let prev = swap () in
+    let prev = hpp_swap t heap desc.Descriptor.id Backoff.initial in
     if prev <> 0 then
       Partial_list.put t.lists.(heap.sc) (Descriptor.get t.table prev)
 
@@ -271,18 +271,15 @@ module Make (Rt : Mm_runtime.Runtime_intf.S) = struct
     end
     else Desc_pool.retire t.pool desc
 
-  let heap_get_partial t heap =
-    let rec go () =
-      let id = Rt.Atomic.get heap.partial in
-      if id = 0 then Partial_list.get t.lists.(heap.sc)
-      else begin
-        Rt.label t.rt Labels.hgp_slot_cas;
-        if Rt.Atomic.compare_and_set heap.partial id 0 then
-          Some (Descriptor.get t.table id)
-        else go ()
-      end
-    in
-    go ()
+  let rec heap_get_partial t heap =
+    let id = Rt.Atomic.get heap.partial in
+    if id = 0 then Partial_list.get t.lists.(heap.sc)
+    else begin
+      Rt.label t.rt Labels.hgp_slot_cas;
+      if Rt.Atomic.compare_and_set heap.partial id 0 then
+        Some (Descriptor.get t.table id)
+      else heap_get_partial t heap
+    end
 
   let remove_empty_desc t heap desc =
     Rt.label t.rt Labels.red_slot_cas;
@@ -305,6 +302,24 @@ module Make (Rt : Mm_runtime.Runtime_intf.S) = struct
   (* ------------------------------------------------------------------ *)
   (* UpdateActive (Fig. 4). *)
 
+  (* Someone installed another active superblock: return the credits to
+     the anchor and make the superblock PARTIAL (lines 4-8). *)
+  let rec ua_return_credits t desc morecredits spins =
+    let oldanchor = Rt.Atomic.get desc.Descriptor.anchor in
+    let newanchor =
+      Anchor.set_state
+        (Anchor.set_count oldanchor (Anchor.count oldanchor + morecredits))
+        Anchor.Partial
+    in
+    Rt.label t.rt Labels.ua_credits_cas;
+    if
+      not
+        (Rt.Atomic.compare_and_set desc.Descriptor.anchor oldanchor newanchor)
+    then begin
+      bump t t.retry_update_active;
+      ua_return_credits t desc morecredits (Backoff.spin t.rt spins)
+    end
+
   let update_active t heap desc morecredits =
     let newactive =
       Active_word.make ~desc_id:desc.Descriptor.id ~credits:(morecredits - 1)
@@ -313,28 +328,7 @@ module Make (Rt : Mm_runtime.Runtime_intf.S) = struct
     (* line 3 *)
     if Rt.Atomic.compare_and_set heap.active Active_word.null newactive then ()
     else begin
-      (* Someone installed another active superblock: return the credits to
-         the anchor and make the superblock PARTIAL (lines 4-8). *)
-      let b = Backoff.create t.rt in
-      let rec return_credits () =
-        let oldanchor = Rt.Atomic.get desc.Descriptor.anchor in
-        let newanchor =
-          Anchor.set_state
-            (Anchor.set_count oldanchor (Anchor.count oldanchor + morecredits))
-            Anchor.Partial
-        in
-        Rt.label t.rt Labels.ua_credits_cas;
-        if
-          not
-            (Rt.Atomic.compare_and_set desc.Descriptor.anchor oldanchor
-               newanchor)
-        then begin
-          bump t t.retry_update_active;
-          Backoff.once b;
-          return_credits ()
-        end
-      in
-      return_credits ();
+      ua_return_credits t desc morecredits Backoff.initial;
       Rt.obs_event t.rt Rt.Obs.Transition "sb.active->partial";
       Rt.label t.rt Labels.ua_return_credits;
       heap_put_partial t desc
@@ -342,10 +336,11 @@ module Make (Rt : Mm_runtime.Runtime_intf.S) = struct
 
   (* ------------------------------------------------------------------ *)
   (* The in-superblock pop shared by MallocFromActive (lines 7-18) and
-     MallocFromPartial (lines 11-15). [on_anchor] lets the active variant
-     fold its credit/state bookkeeping into the same CAS. *)
+     MallocFromPartial (lines 11-15). *)
 
   let clamp_index next = next land Anchor.max_count
+
+  let block_addr (desc : Descriptor.t) idx = desc.sb + (idx * desc.sz)
 
   (* The paper's pop CAS bumps the anchor tag to defeat ABA on the
      in-superblock free list. [anchor_tag = false] (check subsystem's
@@ -353,26 +348,44 @@ module Make (Rt : Mm_runtime.Runtime_intf.S) = struct
      the tag exists to kill; the schedule explorer must find it. *)
   let pop_tag t a = if t.cfg.anchor_tag then Anchor.incr_tag a else a
 
-  let pop_block t (desc : Descriptor.t) ~label ~on_anchor =
-    let rec go spins =
-      let oldanchor = Rt.Atomic.get desc.anchor in
-      let addr = desc.sb + (Anchor.avail oldanchor * desc.sz) in
-      (* line 10: may read garbage when racing; the tag CAS rejects it.
-         [clamp_index] only keeps the value representable. *)
-      let next = Store.read_word ~racy:true t.store addr in
-      let newanchor =
-        pop_tag t (Anchor.set_avail oldanchor (clamp_index next))
-      in
-      let newanchor, extra = on_anchor ~oldanchor ~newanchor in
-      Rt.label t.rt label;
-      if Rt.Atomic.compare_and_set desc.anchor oldanchor newanchor then
-        (addr, oldanchor, extra)
-      else begin
-        bump t t.retry_pop;
-        go (Backoff.spin t.rt spins)
-      end
-    in
-    go Backoff.initial
+  (* lines 16-17: the credits a pop that took the Active word's last
+     reservation grabs for UpdateActive, from the anchor it replaced. *)
+  let more_credits t oldanchor = min (Anchor.count oldanchor) t.cfg.maxcredits
+
+  (* The anchor a pop installs once it has walked the free list to index
+     [next]: avail moves there and the tag is bumped. A pop that took the
+     Active word's last reservation ([took_last]) folds in the
+     bookkeeping of lines 15-17: FULL when no blocks remain, else
+     [more_credits] taken for UpdateActive. *)
+  let popped_anchor t ~took_last oldanchor next =
+    let a = pop_tag t (Anchor.set_avail oldanchor next) in
+    if not took_last then a
+    else if Anchor.count oldanchor = 0 then Anchor.set_state a Anchor.Full
+    else Anchor.set_count a (Anchor.count oldanchor - more_credits t oldanchor)
+
+  (* Pops one block and returns the anchor the CAS replaced; the block is
+     at index [Anchor.avail] of it. [took_last] is MallocFromActive's. *)
+  let rec pop_block t (desc : Descriptor.t) ~label ~took_last spins =
+    let oldanchor = Rt.Atomic.get desc.anchor in
+    let addr = block_addr desc (Anchor.avail oldanchor) in
+    (* line 10: may read garbage when racing; the tag CAS rejects it.
+       [clamp_index] only keeps the value representable. *)
+    let next = Store.read_word ~racy:true t.store addr in
+    let newanchor = popped_anchor t ~took_last oldanchor (clamp_index next) in
+    Rt.label t.rt label;
+    if Rt.Atomic.compare_and_set desc.anchor oldanchor newanchor then oldanchor
+    else begin
+      bump t t.retry_pop;
+      pop_block t desc ~label ~took_last (Backoff.spin t.rt spins)
+    end
+
+  (* lines 19-20, after a pop that took the Active word's last
+     reservation: reinstall the superblock with the credits the pop
+     took, or note that it went FULL. *)
+  let after_last_pop t heap desc oldanchor =
+    if Anchor.count oldanchor > 0 then
+      update_active t heap desc (more_credits t oldanchor)
+    else Rt.obs_event t.rt Rt.Obs.Transition "sb.active->full"
 
   let finish_block t (desc : Descriptor.t) addr =
     (* line 21: store the descriptor in the block prefix. *)
@@ -382,118 +395,99 @@ module Make (Rt : Mm_runtime.Runtime_intf.S) = struct
   (* ------------------------------------------------------------------ *)
   (* MallocFromActive (Fig. 4). *)
 
-  let malloc_from_active t heap =
-    (* First step: reserve a block (lines 1-6). *)
-    let rec reserve spins =
-      let oldactive = Rt.Atomic.get heap.active in
-      if Active_word.is_null oldactive then None
+  (* First step: reserve a block (lines 1-6). Returns the Active word the
+     CAS replaced, or [Active_word.null] when there is none. *)
+  let rec ma_reserve t heap spins =
+    let oldactive = Rt.Atomic.get heap.active in
+    if Active_word.is_null oldactive then Active_word.null
+    else begin
+      let newactive =
+        if Active_word.credits oldactive = 0 then Active_word.null
+        else Active_word.dec_credits oldactive
+      in
+      Rt.label t.rt Labels.ma_read_active;
+      if Rt.Atomic.compare_and_set heap.active oldactive newactive then
+        oldactive
       else begin
-        let newactive =
-          if Active_word.credits oldactive = 0 then Active_word.null
-          else Active_word.dec_credits oldactive
-        in
-        Rt.label t.rt Labels.ma_read_active;
-        if Rt.Atomic.compare_and_set heap.active oldactive newactive then
-          Some oldactive
-        else begin
-          bump t t.retry_reserve;
-          reserve (Backoff.spin t.rt spins)
-        end
+        bump t t.retry_reserve;
+        ma_reserve t heap (Backoff.spin t.rt spins)
       end
-    in
-    match reserve Backoff.initial with
-    | None -> None
-    | Some oldactive ->
-        Rt.label t.rt Labels.ma_reserved;
-        let desc = Descriptor.get t.table (Active_word.desc_id oldactive) in
-        let took_last = Active_word.credits oldactive = 0 in
-        (* Second step: pop the reserved block (lines 7-18). *)
-        let on_anchor ~oldanchor ~newanchor =
-          if took_last then
-            if Anchor.count oldanchor = 0 then
-              (* line 15: out of blocks entirely. *)
-              (Anchor.set_state newanchor Anchor.Full, 0)
-            else begin
-              (* lines 16-17: grab more credits for UpdateActive. *)
-              let morecredits =
-                min (Anchor.count oldanchor) t.cfg.maxcredits
-              in
-              ( Anchor.set_count newanchor
-                  (Anchor.count oldanchor - morecredits),
-                morecredits )
-            end
-          else (newanchor, 0)
-        in
-        let addr, oldanchor, morecredits =
-          pop_block t desc ~label:Labels.ma_pop_cas ~on_anchor
-        in
-        Rt.label t.rt Labels.ma_popped;
-        (* lines 19-20 *)
-        if took_last then
-          if Anchor.count oldanchor > 0 then
-            update_active t heap desc morecredits
-          else Rt.obs_event t.rt Rt.Obs.Transition "sb.active->full";
-        Some (finish_block t desc addr)
+    end
+
+  let malloc_from_active t heap =
+    let oldactive = ma_reserve t heap Backoff.initial in
+    if Active_word.is_null oldactive then Addr.null
+    else begin
+      Rt.label t.rt Labels.ma_reserved;
+      let desc = Descriptor.get t.table (Active_word.desc_id oldactive) in
+      let took_last = Active_word.credits oldactive = 0 in
+      (* Second step: pop the reserved block (lines 7-18). *)
+      let oldanchor =
+        pop_block t desc ~label:Labels.ma_pop_cas ~took_last Backoff.initial
+      in
+      Rt.label t.rt Labels.ma_popped;
+      if took_last then after_last_pop t heap desc oldanchor;
+      finish_block t desc (block_addr desc (Anchor.avail oldanchor))
+    end
 
   (* ------------------------------------------------------------------ *)
   (* MallocFromPartial (Fig. 4). *)
 
+  (* Reserve blocks (lines 4-10): the credits taken beyond the block
+     popped next, or [-1] when the superblock went EMPTY under us. *)
+  let rec mp_reserve t (desc : Descriptor.t) spins =
+    let oldanchor = Rt.Atomic.get desc.anchor in
+    if Anchor.state oldanchor = Anchor.Empty then -1
+    else begin
+      (* state must be PARTIAL and count > 0 here. *)
+      let count = Anchor.count oldanchor in
+      let morecredits = min (count - 1) t.cfg.maxcredits in
+      let newanchor =
+        Anchor.set_state
+          (Anchor.set_count oldanchor (count - morecredits - 1))
+          (if morecredits > 0 then Anchor.Active else Anchor.Full)
+      in
+      Rt.label t.rt Labels.mp_reserve_cas;
+      if Rt.Atomic.compare_and_set desc.anchor oldanchor newanchor then
+        morecredits
+      else begin
+        bump t t.retry_reserve;
+        mp_reserve t desc (Backoff.spin t.rt spins)
+      end
+    end
+
   let rec malloc_from_partial t heap =
     match heap_get_partial t heap with
-    | None -> None
-    | Some desc -> (
+    | None -> Addr.null
+    | Some desc ->
         Rt.label t.rt Labels.mp_got_partial;
-        (* mm-sa: allow write-before-publish: the reserve CAS below only
-           moves anchor credits; it publishes no block memory. heap_gid is
+        (* No fence before the reserve CAS (in [mp_reserve]): it only
+           moves anchor credits and publishes no block memory. heap_gid is
            read by remote frees that synchronize through this descriptor's
            anchor anyway, and the CAS itself orders the store. Explicit
            fences are reserved for link words that remote pops read with
            racy loads (flush_group, hazard_refill). *)
         desc.Descriptor.heap_gid <- heap.gid;
         (* line 3 *)
-        (* Reserve blocks (lines 4-10). *)
-        let b = Backoff.create t.rt in
-        let rec reserve () =
-          let oldanchor = Rt.Atomic.get desc.Descriptor.anchor in
-          if Anchor.state oldanchor = Anchor.Empty then None
-          else begin
-            (* state must be PARTIAL and count > 0 here. *)
-            let count = Anchor.count oldanchor in
-            let morecredits = min (count - 1) t.cfg.maxcredits in
-            let newanchor =
-              Anchor.set_state
-                (Anchor.set_count oldanchor (count - morecredits - 1))
-                (if morecredits > 0 then Anchor.Active else Anchor.Full)
-            in
-            Rt.label t.rt Labels.mp_reserve_cas;
-            if
-              Rt.Atomic.compare_and_set desc.Descriptor.anchor oldanchor
-                newanchor
-            then Some morecredits
-            else begin
-              bump t t.retry_reserve;
-              Backoff.once b;
-              reserve ()
-            end
-          end
-        in
-        match reserve () with
-        | None ->
-            (* lines 5-6: became EMPTY under us — release and retry. *)
-            release_empty t desc;
-            malloc_from_partial t heap
-        | Some morecredits ->
-            Rt.obs_event t.rt Rt.Obs.Transition
-              (if morecredits > 0 then "sb.partial->active"
-               else "sb.partial->full");
-            (* Pop the reserved block (lines 11-15). *)
-            let addr, _, () =
-              pop_block t desc ~label:Labels.mp_pop_cas
-                ~on_anchor:(fun ~oldanchor:_ ~newanchor -> (newanchor, ()))
-            in
-            (* lines 16-17 *)
-            if morecredits > 0 then update_active t heap desc morecredits;
-            Some (finish_block t desc addr))
+        let morecredits = mp_reserve t desc Backoff.initial in
+        if morecredits < 0 then begin
+          (* lines 5-6: became EMPTY under us — release and retry. *)
+          release_empty t desc;
+          malloc_from_partial t heap
+        end
+        else begin
+          Rt.obs_event t.rt Rt.Obs.Transition
+            (if morecredits > 0 then "sb.partial->active"
+             else "sb.partial->full");
+          (* Pop the reserved block (lines 11-15). *)
+          let oldanchor =
+            pop_block t desc ~label:Labels.mp_pop_cas ~took_last:false
+              Backoff.initial
+          in
+          (* lines 16-17 *)
+          if morecredits > 0 then update_active t heap desc morecredits;
+          finish_block t desc (block_addr desc (Anchor.avail oldanchor))
+        end
 
   (* ------------------------------------------------------------------ *)
   (* MallocFromNewSB (Fig. 4), preceded by warm adoption (DESIGN.md §14). *)
@@ -508,13 +502,13 @@ module Make (Rt : Mm_runtime.Runtime_intf.S) = struct
      from the superblock's previous life still fails. *)
   let adopt_parked t heap =
     match Sb_cache.adopt t.sbc ~sc:heap.sc with
-    | None -> None
+    | None -> Addr.null
     | Some desc ->
         desc.Descriptor.heap_gid <- heap.gid;
         let maxcount = desc.Descriptor.maxcount in
         let a0 = Rt.Atomic.get desc.Descriptor.anchor in
         let avail0 = Anchor.avail a0 in
-        let head = desc.Descriptor.sb + (avail0 * desc.Descriptor.sz) in
+        let head = block_addr desc avail0 in
         let next = clamp_index (Store.read_word t.store head) in
         (* Same credits arithmetic as the fresh-superblock path below. *)
         let credits = min (maxcount - 1) t.cfg.maxcredits - 1 in
@@ -528,7 +522,7 @@ module Make (Rt : Mm_runtime.Runtime_intf.S) = struct
         if Rt.Atomic.compare_and_set heap.active Active_word.null newactive
         then begin
           Rt.obs_event t.rt Rt.Obs.Transition "sb.cached->active";
-          Some (finish_block t desc head)
+          finish_block t desc head
         end
         else begin
           (* Lost the install race: nothing was handed out, the links are
@@ -544,7 +538,7 @@ module Make (Rt : Mm_runtime.Runtime_intf.S) = struct
             desc.Descriptor.sb <- Addr.null;
             Desc_pool.retire t.pool desc
           end;
-          None
+          Addr.null
         end
 
   let malloc_from_new_sb_fresh t heap =
@@ -579,7 +573,7 @@ module Make (Rt : Mm_runtime.Runtime_intf.S) = struct
     if Rt.Atomic.compare_and_set heap.active Active_word.null newactive then begin
       (* lines 14-15: take block 0. *)
       Rt.obs_event t.rt Rt.Obs.Transition "sb.new->active";
-      Some (finish_block t desc sb)
+      finish_block t desc sb
     end
     else begin
       (* lines 16-17: another thread won the race; release everything.
@@ -604,13 +598,12 @@ module Make (Rt : Mm_runtime.Runtime_intf.S) = struct
         desc.Descriptor.sb <- Addr.null;
         Desc_pool.retire t.pool desc
       end;
-      None
+      Addr.null
     end
 
   let malloc_from_new_sb t heap =
-    match adopt_parked t heap with
-    | Some _ as r -> r
-    | None -> malloc_from_new_sb_fresh t heap
+    let p = adopt_parked t heap in
+    if p <> Addr.null then p else malloc_from_new_sb_fresh t heap
 
   (* ------------------------------------------------------------------ *)
   (* Owner-biased private/public free lists (DESIGN.md §19),
@@ -630,14 +623,11 @@ module Make (Rt : Mm_runtime.Runtime_intf.S) = struct
      EMPTY/FULL state machine, [Sb_cache] parking and [Partial_list]
      publication are shared with the anchor path unchanged. *)
 
-  let ob_block_addr (desc : Descriptor.t) idx =
-    desc.Descriptor.sb + (idx * desc.Descriptor.sz)
-
   (* Private-LIFO pop; caller guarantees [priv_count > 0]. The link
      reads are non-racy: a private block is free and reachable only by
      the owning thread. *)
   let priv_pop t (desc : Descriptor.t) =
-    let addr = ob_block_addr desc desc.Descriptor.priv_head in
+    let addr = block_addr desc desc.Descriptor.priv_head in
     desc.Descriptor.priv_head <- clamp_index (Store.read_word t.store addr);
     desc.Descriptor.priv_count <- desc.Descriptor.priv_count - 1;
     addr
@@ -647,34 +637,43 @@ module Make (Rt : Mm_runtime.Runtime_intf.S) = struct
     desc.Descriptor.priv_head <- idx;
     desc.Descriptor.priv_count <- desc.Descriptor.priv_count + 1
 
-  (* Push one pre-linked chain onto the public list in one CAS. [link]
-     rewrites the chain tail's link word against the currently observed
-     head; the fence publishes the link writes before the CAS makes
-     them reachable (mm-sa write-before-publish). Returns the word the
-     CAS replaced so the caller can see whether it pushed onto an
-     unowned list (and must rescue, below). *)
-  let ob_push_loop t (desc : Descriptor.t) ~link ~make_new =
-    let rec go spins =
-      let oldpub = Rt.Atomic.get desc.Descriptor.pub in
-      link oldpub;
-      Rt.fence t.rt;
-      Rt.label t.rt Labels.pub_push;
-      if Rt.Atomic.compare_and_set desc.Descriptor.pub oldpub (make_new oldpub)
-      then oldpub
-      else begin
-        bump t t.retry_pub_push;
-        go (Backoff.spin t.rt spins)
-      end
-    in
-    go Backoff.initial
+  (* Push one pre-linked chain of [n] blocks, [first_idx] .. [last],
+     onto the public list in one CAS. The tail's link word is rewritten
+     against the currently observed head; the fence publishes the link
+     writes before the CAS makes them reachable (mm-sa
+     write-before-publish). Returns the word the CAS replaced so the
+     caller can see whether it pushed onto an unowned list (and must
+     rescue, below). *)
+  let rec ob_push t (desc : Descriptor.t) ~last ~first_idx ~n spins =
+    let oldpub = Rt.Atomic.get desc.pub in
+    Store.write_word t.store last (Pub_word.head oldpub);
+    Rt.fence t.rt;
+    Rt.label t.rt Labels.pub_push;
+    if
+      Rt.Atomic.compare_and_set desc.pub oldpub
+        (Pub_word.push_n oldpub ~idx:first_idx ~n)
+    then oldpub
+    else begin
+      bump t t.retry_pub_push;
+      ob_push t desc ~last ~first_idx ~n (Backoff.spin t.rt spins)
+    end
 
   (* Walk the [n] blocks of an exclusively held chain to its tail. *)
   let ob_chain_tail t (desc : Descriptor.t) head n =
     let idx = ref head in
     for _ = 2 to n do
-      idx := clamp_index (Store.read_word t.store (ob_block_addr desc !idx))
+      idx := clamp_index (Store.read_word t.store (block_addr desc !idx))
     done;
     !idx
+
+  (* Clear the owned bit, keeping any blocks pushed meanwhile. *)
+  let rec ob_un_own t (desc : Descriptor.t) spins =
+    let p = Rt.Atomic.get desc.pub in
+    Rt.label t.rt Labels.pub_claim;
+    if not (Rt.Atomic.compare_and_set desc.pub p (Pub_word.un_own p)) then begin
+      bump t t.retry_pub_claim;
+      ob_un_own t desc (Backoff.spin t.rt spins)
+    end
 
   (* Pusher-driven reconciliation of an unowned superblock: a thread
      whose push lands on an unowned pub word must drain the list back
@@ -712,7 +711,7 @@ module Make (Rt : Mm_runtime.Runtime_intf.S) = struct
               (Anchor.state_to_string st));
         let total = Anchor.count a + n in
         let tail = ob_chain_tail t desc head n in
-        Store.write_word t.store (ob_block_addr desc tail) (Anchor.avail a);
+        Store.write_word t.store (block_addr desc tail) (Anchor.avail a);
         if total = desc.Descriptor.maxcount then begin
           (* Every block of the superblock is free, so no thread holds
              one and no further push can race: plain-reset both words.
@@ -751,21 +750,7 @@ module Make (Rt : Mm_runtime.Runtime_intf.S) = struct
             Rt.obs_event t.rt Rt.Obs.Transition "sb.full->partial";
             heap_put_partial t desc
           end;
-          let b = Backoff.create t.rt in
-          let rec un_own () =
-            let p = Rt.Atomic.get desc.Descriptor.pub in
-            Rt.label t.rt Labels.pub_claim;
-            if
-              not
-                (Rt.Atomic.compare_and_set desc.Descriptor.pub p
-                   (Pub_word.un_own p))
-            then begin
-              bump t t.retry_pub_claim;
-              Backoff.once b;
-              un_own ()
-            end
-          in
-          un_own ();
+          ob_un_own t desc Backoff.initial;
           ob_rescue t desc
         end
       end
@@ -775,23 +760,18 @@ module Make (Rt : Mm_runtime.Runtime_intf.S) = struct
      new owner claims them on its first refill). [false] means a rescue
      is in flight or a killed thread orphaned the word — callers skip
      the descriptor rather than wait on anyone. *)
-  let ob_try_own t (desc : Descriptor.t) =
-    let rec go () =
-      let oldpub = Rt.Atomic.get desc.Descriptor.pub in
-      if Pub_word.owned oldpub then false
+  let rec ob_try_own t (desc : Descriptor.t) =
+    let oldpub = Rt.Atomic.get desc.pub in
+    if Pub_word.owned oldpub then false
+    else begin
+      Rt.label t.rt Labels.pub_claim;
+      if Rt.Atomic.compare_and_set desc.pub oldpub (Pub_word.own oldpub) then
+        true
       else begin
-        Rt.label t.rt Labels.pub_claim;
-        if
-          Rt.Atomic.compare_and_set desc.Descriptor.pub oldpub
-            (Pub_word.own oldpub)
-        then true
-        else begin
-          bump t t.retry_pub_claim;
-          go ()
-        end
+        bump t t.retry_pub_claim;
+        ob_try_own t desc
       end
-    in
-    go ()
+    end
 
   let ob_install t (desc : Descriptor.t) heap tid =
     desc.Descriptor.owner <- tid;
@@ -971,9 +951,7 @@ module Make (Rt : Mm_runtime.Runtime_intf.S) = struct
       priv_push t desc base idx
     else begin
       let oldpub =
-        ob_push_loop t desc
-          ~link:(fun p -> Store.write_word t.store base (Pub_word.head p))
-          ~make_new:(fun p -> Pub_word.push p ~idx)
+        ob_push t desc ~last:base ~first_idx:idx ~n:1 Backoff.initial
       in
       if not (Pub_word.owned oldpub) then ob_rescue t desc
     end
@@ -1002,11 +980,7 @@ module Make (Rt : Mm_runtime.Runtime_intf.S) = struct
       in
       chain bases;
       let last = List.nth bases (n - 1) in
-      let oldpub =
-        ob_push_loop t desc
-          ~link:(fun p -> Store.write_word t.store last (Pub_word.head p))
-          ~make_new:(fun p -> Pub_word.push_n p ~idx:first_idx ~n)
-      in
+      let oldpub = ob_push t desc ~last ~first_idx ~n Backoff.initial in
       if not (Pub_word.owned oldpub) then ob_rescue t desc
     end
 
@@ -1054,52 +1028,97 @@ module Make (Rt : Mm_runtime.Runtime_intf.S) = struct
     | Some pm when Pm.free pm base ~len:(Prefix.large_len prefix) -> ()
     | _ -> Store.free_large t.store base
 
+  (* line 1 onwards: every path returns [Addr.null] when it cannot
+     serve, and a payload is never null. *)
+  let rec malloc_small t heap =
+    let p = malloc_from_active t heap in
+    if p <> Addr.null then p
+    else
+      let p = malloc_from_partial t heap in
+      if p <> Addr.null then p
+      else
+        let p = malloc_from_new_sb t heap in
+        if p <> Addr.null then p else malloc_small t heap
+
   let malloc t n =
     if n < 0 then invalid_arg "Lf_alloc.malloc: negative size";
     let tid = Rt.self t.rt in
     t.mallocs.(tid) <- t.mallocs.(tid) + 1;
-    match Sc.class_of_request t.classes n with
-    | None -> malloc_large t n (* lines 2-3 *)
-    | Some sc ->
-        if t.ob then malloc_ob t sc tid
-        else begin
-          let heap = heap_at t sc tid in
-          (* line 1 *)
-          let rec attempt () =
-            match malloc_from_active t heap with
-            | Some payload -> payload
-            | None -> (
-                match malloc_from_partial t heap with
-                | Some payload -> payload
-                | None -> (
-                    match malloc_from_new_sb t heap with
-                    | Some payload -> payload
-                    | None -> attempt ()))
-          in
-          attempt ()
-        end
+    let sc = Sc.class_of_request t.classes n in
+    if sc = Sc.large then malloc_large t n (* lines 2-3 *)
+    else if t.ob then malloc_ob t sc tid
+    else malloc_small t (heap_at t sc tid)
 
   (* ------------------------------------------------------------------ *)
   (* free (Fig. 6). *)
 
+  (* The outcome of an anchor push, singleton or batched, packed in an
+     int: [pushed] for a plain push, [pushed_full] when the superblock
+     went FULL -> PARTIAL, and otherwise the heap gid (>= 0) that owned
+     the superblock the push emptied. *)
+  let pushed = -1
+  let pushed_full = -2
+
   (* Post-CAS epilogue shared by the singleton push and the batched flush
      (flush_group below): release an emptied superblock (lines 19-21) or
      re-park a formerly FULL one (lines 22-23). *)
-  let finish_push t desc = function
-    | _, true, heap_gid ->
-        Rt.obs_event t.rt Rt.Obs.Transition "sb.empty";
-        Rt.label t.rt Labels.free_empty;
-        (* With the warm cache enabled the superblock stays mapped: the
-           thread that later removes the descriptor's last reference parks
-           bytes + free list + anchor together (release_empty), or unmaps
-           there if the cache is full. Unmapping here would tear the
-           superblock away before ownership of the descriptor settles. *)
-        if not (Sb_cache.enabled t.sbc) then release_sb t desc.Descriptor.sb;
-        remove_empty_desc t (heap_of_gid t heap_gid) desc
-    | Anchor.Full, false, _ ->
-        Rt.obs_event t.rt Rt.Obs.Transition "sb.full->partial";
-        heap_put_partial t desc
-    | (Anchor.Active | Anchor.Partial | Anchor.Empty), false, _ -> ()
+  let finish_push t desc outcome =
+    if outcome >= 0 then begin
+      Rt.obs_event t.rt Rt.Obs.Transition "sb.empty";
+      Rt.label t.rt Labels.free_empty;
+      (* With the warm cache enabled the superblock stays mapped: the
+         thread that later removes the descriptor's last reference parks
+         bytes + free list + anchor together (release_empty), or unmaps
+         there if the cache is full. Unmapping here would tear the
+         superblock away before ownership of the descriptor settles. *)
+      if not (Sb_cache.enabled t.sbc) then release_sb t desc.Descriptor.sb;
+      remove_empty_desc t (heap_of_gid t outcome) desc
+    end
+    else if outcome = pushed_full then begin
+      Rt.obs_event t.rt Rt.Obs.Transition "sb.full->partial";
+      heap_put_partial t desc
+    end
+
+  let rec free_push t (desc : Descriptor.t) base idx spins =
+    let oldanchor = Rt.Atomic.get desc.anchor in
+    (* line 8: thread the block onto the available list. *)
+    Store.write_word t.store base (Anchor.avail oldanchor);
+    (* line 9 *)
+    let with_avail = Anchor.set_avail oldanchor idx in
+    let oldstate = Anchor.state oldanchor in
+    if Anchor.count oldanchor = desc.maxcount - 1 then begin
+      (* lines 12-15: last allocated block — the superblock empties. *)
+      let heap_gid = desc.heap_gid in
+      (* line 13 *)
+      Rt.fence t.rt;
+      (* line 14: instruction fence *)
+      let newanchor = Anchor.set_state with_avail Anchor.Empty in
+      Rt.fence t.rt;
+      (* line 17: memory fence *)
+      Rt.label t.rt Labels.free_cas;
+      if Rt.Atomic.compare_and_set desc.anchor oldanchor newanchor then heap_gid
+      else begin
+        bump t t.retry_free;
+        free_push t desc base idx (Backoff.spin t.rt spins)
+      end
+    end
+    else begin
+      (* lines 10-11, 16 *)
+      let st = if oldstate = Anchor.Full then Anchor.Partial else oldstate in
+      let newanchor =
+        Anchor.set_count (Anchor.set_state with_avail st)
+          (Anchor.count oldanchor + 1)
+      in
+      Rt.fence t.rt;
+      (* line 17: memory fence *)
+      Rt.label t.rt Labels.free_cas;
+      if Rt.Atomic.compare_and_set desc.anchor oldanchor newanchor then
+        if oldstate = Anchor.Full then pushed_full else pushed
+      else begin
+        bump t t.retry_free;
+        free_push t desc base idx (Backoff.spin t.rt spins)
+      end
+    end
 
   let free_small t base prefix =
     let desc = Descriptor.get t.table (Prefix.desc_id prefix) in
@@ -1114,51 +1133,7 @@ module Make (Rt : Mm_runtime.Runtime_intf.S) = struct
       off < 0 || idx >= desc.Descriptor.maxcount
       || idx * desc.Descriptor.sz <> off
     then invalid_arg "Lf_alloc.free: not a block address";
-    let rec push spins =
-      let oldanchor = Rt.Atomic.get desc.Descriptor.anchor in
-      (* line 8: thread the block onto the available list. *)
-      Store.write_word t.store base (Anchor.avail oldanchor);
-      (* line 9 *)
-      let with_avail = Anchor.set_avail oldanchor idx in
-      let oldstate = Anchor.state oldanchor in
-      if Anchor.count oldanchor = desc.Descriptor.maxcount - 1 then begin
-        (* lines 12-15: last allocated block — the superblock empties. *)
-        let heap_gid = desc.Descriptor.heap_gid in
-        (* line 13 *)
-        Rt.fence t.rt;
-        (* line 14: instruction fence *)
-        let newanchor = Anchor.set_state with_avail Anchor.Empty in
-        Rt.fence t.rt;
-        (* line 17: memory fence *)
-        Rt.label t.rt Labels.free_cas;
-        if
-          Rt.Atomic.compare_and_set desc.Descriptor.anchor oldanchor newanchor
-        then (oldstate, true, heap_gid)
-        else begin
-          bump t t.retry_free;
-          push (Backoff.spin t.rt spins)
-        end
-      end
-      else begin
-        (* lines 10-11, 16 *)
-        let st = if oldstate = Anchor.Full then Anchor.Partial else oldstate in
-        let newanchor =
-          Anchor.set_count (Anchor.set_state with_avail st)
-            (Anchor.count oldanchor + 1)
-        in
-        Rt.fence t.rt;
-        (* line 17: memory fence *)
-        Rt.label t.rt Labels.free_cas;
-        if
-          Rt.Atomic.compare_and_set desc.Descriptor.anchor oldanchor newanchor
-        then (oldstate, false, -1)
-        else begin
-          bump t t.retry_free;
-          push (Backoff.spin t.rt spins)
-        end
-      end
-    in
-    finish_push t desc (push Backoff.initial)
+    finish_push t desc (free_push t desc base idx Backoff.initial)
 
   let free t payload =
     if payload = Addr.null then ()
@@ -1166,10 +1141,9 @@ module Make (Rt : Mm_runtime.Runtime_intf.S) = struct
       let tid = Rt.self t.rt in
       t.frees.(tid) <- t.frees.(tid) + 1;
       (* lines 2-3, extended with aligned-payload resolution *)
-      let base_payload, prefix, _delta =
-        Store.resolve t.store payload
-      in
-      let base = base_payload - Prefix.prefix_bytes in
+      let w = Store.read_word t.store (payload - Prefix.prefix_bytes) in
+      let prefix = Store.resolve t.store payload w in
+      let base = Prefix.base_payload payload w - Prefix.prefix_bytes in
       if Prefix.is_large prefix then free_large_block t base prefix
         (* lines 4-5 *)
       else if t.ob then free_ob t base prefix tid
@@ -1177,7 +1151,9 @@ module Make (Rt : Mm_runtime.Runtime_intf.S) = struct
     end
 
   let usable_size t payload =
-    let _, prefix, delta = Store.resolve t.store payload in
+    let w = Store.read_word t.store (payload - Prefix.prefix_bytes) in
+    let prefix = Store.resolve t.store payload w in
+    let delta = payload - Prefix.base_payload payload w in
     let base_usable =
       if Prefix.is_large prefix then
         Prefix.large_len prefix - Prefix.prefix_bytes
@@ -1195,108 +1171,139 @@ module Make (Rt : Mm_runtime.Runtime_intf.S) = struct
      exact same Active/Anchor protocol, so every shared-structure step
      below stays lock-free and every CAS window carries its own label. *)
 
-  let classify t payload =
-    let base_payload, prefix, _delta = Store.resolve t.store payload in
-    if Prefix.is_large prefix then `Large
+  let classify t payload w =
+    let prefix = Store.resolve t.store payload w in
+    if Prefix.is_large prefix then -1
     else begin
       let desc = Descriptor.get t.table (Prefix.desc_id prefix) in
       (* Same wild-pointer guard as [free_small], applied before the block
          can enter a cache and corrupt the anchor much later. *)
-      let off = base_payload - Prefix.prefix_bytes - desc.Descriptor.sb in
+      let off =
+        Prefix.base_payload payload w - Prefix.prefix_bytes - desc.Descriptor.sb
+      in
       let idx = off / desc.Descriptor.sz in
       if
         off < 0 || idx >= desc.Descriptor.maxcount
         || idx * desc.Descriptor.sz <> off
       then invalid_arg "Lf_alloc.free: not a block address";
-      let gid = desc.Descriptor.heap_gid in
-      let sc = gid / t.nheaps_ in
-      `Small
-        ( base_payload,
-          sc,
-          gid - (sc * t.nheaps_) = Rt.self t.rt mod t.nheaps_ )
+      desc.Descriptor.heap_gid
+    end
+
+  (* One CAS reserves a whole batch: an Active word with c credits
+     entitles its takers to c + 1 pops, so taking
+     take = min want (c + 1) reservations at once just subtracts [take]
+     (emptying the word when take = c + 1), and the free-list-length
+     invariant (length >= count + outstanding reservations) guarantees
+     the batched pop below finds [take] linked blocks. Returns the Active
+     word the CAS replaced, or [Active_word.null]. *)
+  let rec bc_reserve t heap want spins =
+    let oldactive = Rt.Atomic.get heap.active in
+    if Active_word.is_null oldactive then Active_word.null
+    else begin
+      let credits = Active_word.credits oldactive in
+      let take = min want (credits + 1) in
+      let newactive =
+        if take = credits + 1 then Active_word.null
+        else
+          Active_word.make
+            ~desc_id:(Active_word.desc_id oldactive)
+            ~credits:(credits - take)
+      in
+      Rt.label t.rt Labels.bc_reserve_cas;
+      if Rt.Atomic.compare_and_set heap.active oldactive newactive then
+        oldactive
+      else begin
+        bump t t.retry_reserve;
+        bc_reserve t heap want (Backoff.spin t.rt spins)
+      end
+    end
+
+  (* Pop the whole batch in one anchor CAS: walk [Array.length addrs]
+     links of the in-superblock free list, recording the blocks in
+     [addrs], and swing avail past them. Each link read may return
+     garbage when racing — exactly Fig. 4 line 10's racy read, once per
+     block — and the tag bump in the CAS rejects any walk that observed
+     a mutated list. Returns the anchor the CAS replaced. *)
+  let rec bc_pop t (desc : Descriptor.t) ~took_last addrs spins =
+    let oldanchor = Rt.Atomic.get desc.anchor in
+    let idx = ref (Anchor.avail oldanchor) in
+    for i = 0 to Array.length addrs - 1 do
+      let addr = block_addr desc !idx in
+      addrs.(i) <- addr;
+      idx := clamp_index (Store.read_word ~racy:true t.store addr)
+    done;
+    let newanchor = popped_anchor t ~took_last oldanchor !idx in
+    Rt.label t.rt Labels.bc_pop_cas;
+    if Rt.Atomic.compare_and_set desc.anchor oldanchor newanchor then oldanchor
+    else begin
+      bump t t.retry_pop;
+      bc_pop t desc ~took_last addrs (Backoff.spin t.rt spins)
     end
 
   let refill_batch t ~sc ~max:want =
     if want < 1 then invalid_arg "Lf_alloc.refill_batch: max must be >= 1";
     if t.ob then refill_batch_ob t ~sc ~want
     else begin
-    let heap = my_heap t sc in
-    let b = Backoff.create t.rt in
-    (* One CAS reserves a whole batch: an Active word with c credits
-       entitles its takers to c + 1 pops, so taking
-       take = min want (c + 1) reservations at once just subtracts [take]
-       (emptying the word when take = c + 1), and the free-list-length
-       invariant (length >= count + outstanding reservations) guarantees
-       the batched pop below finds [take] linked blocks. *)
-    let rec reserve () =
-      let oldactive = Rt.Atomic.get heap.active in
-      if Active_word.is_null oldactive then None
+      let heap = my_heap t sc in
+      let oldactive = bc_reserve t heap want Backoff.initial in
+      if Active_word.is_null oldactive then []
       else begin
-        let credits = Active_word.credits oldactive in
-        let take = min want (credits + 1) in
-        let newactive =
-          if take = credits + 1 then Active_word.null
-          else
-            Active_word.make
-              ~desc_id:(Active_word.desc_id oldactive)
-              ~credits:(credits - take)
-        in
-        Rt.label t.rt Labels.bc_reserve_cas;
-        if Rt.Atomic.compare_and_set heap.active oldactive newactive then
-          Some (oldactive, take)
-        else begin
-          bump t t.retry_reserve;
-          Backoff.once b;
-          reserve ()
-        end
-      end
-    in
-    match reserve () with
-    | None -> []
-    | Some (oldactive, take) ->
         let desc = Descriptor.get t.table (Active_word.desc_id oldactive) in
+        let take = min want (Active_word.credits oldactive + 1) in
         let took_last = take = Active_word.credits oldactive + 1 in
-        let b = Backoff.create t.rt in
-        (* Pop the whole batch in one anchor CAS: walk [take] links of the
-           in-superblock free list and swing avail past them. Each link
-           read may return garbage when racing — exactly Fig. 4 line 10's
-           racy read, [take] times — and the tag bump in the CAS rejects
-           any walk that observed a mutated list. *)
-        let rec pop () =
-          let oldanchor = Rt.Atomic.get desc.Descriptor.anchor in
-          let addrs = Array.make take 0 in
-          let idx = ref (Anchor.avail oldanchor) in
-          for i = 0 to take - 1 do
-            let addr = desc.Descriptor.sb + (!idx * desc.Descriptor.sz) in
-            addrs.(i) <- addr;
-            idx := clamp_index (Store.read_word ~racy:true t.store addr)
-          done;
-          let newanchor = pop_tag t (Anchor.set_avail oldanchor !idx) in
-          let newanchor, morecredits =
-            if took_last then
-              if Anchor.count oldanchor = 0 then
-                (Anchor.set_state newanchor Anchor.Full, 0)
-              else begin
-                let mc = min (Anchor.count oldanchor) t.cfg.maxcredits in
-                (Anchor.set_count newanchor (Anchor.count oldanchor - mc), mc)
-              end
-            else (newanchor, 0)
-          in
-          Rt.label t.rt Labels.bc_pop_cas;
-          if Rt.Atomic.compare_and_set desc.Descriptor.anchor oldanchor newanchor
-          then (addrs, oldanchor, morecredits)
-          else begin
-            bump t t.retry_pop;
-            Backoff.once b;
-            pop ()
-          end
-        in
-        let addrs, oldanchor, morecredits = pop () in
-        if took_last then
-          if Anchor.count oldanchor > 0 then
-            update_active t heap desc morecredits
-          else Rt.obs_event t.rt Rt.Obs.Transition "sb.active->full";
+        let addrs = Array.make take 0 in
+        let oldanchor = bc_pop t desc ~took_last addrs Backoff.initial in
+        if took_last then after_last_pop t heap desc oldanchor;
         Array.to_list (Array.map (fun addr -> finish_block t desc addr) addrs)
+      end
+    end
+
+  let rec flush_push t (desc : Descriptor.t) bases n spins =
+    let oldanchor = Rt.Atomic.get desc.anchor in
+    (* Link the batch first -> ... -> last -> old avail. The walk stays
+       in this function so mm-sa's per-function S3 sees these stores
+       ahead of the fence and the CAS that publishes them. *)
+    let rest = ref bases in
+    while !rest != [] do
+      match !rest with
+      | a :: (next :: _ as tl) ->
+          Store.write_word t.store a ((next - desc.sb) / desc.sz);
+          rest := tl
+      | last :: [] ->
+          Store.write_word t.store last (Anchor.avail oldanchor);
+          rest := []
+      | [] -> ()
+    done;
+    let with_avail =
+      Anchor.set_avail oldanchor ((List.hd bases - desc.sb) / desc.sz)
+    in
+    let oldstate = Anchor.state oldanchor in
+    if Anchor.count oldanchor = desc.maxcount - n then begin
+      let heap_gid = desc.heap_gid in
+      Rt.fence t.rt;
+      let newanchor = Anchor.set_state with_avail Anchor.Empty in
+      Rt.fence t.rt;
+      Rt.label t.rt Labels.bc_flush_cas;
+      if Rt.Atomic.compare_and_set desc.anchor oldanchor newanchor then heap_gid
+      else begin
+        bump t t.retry_free;
+        flush_push t desc bases n (Backoff.spin t.rt spins)
+      end
+    end
+    else begin
+      let st = if oldstate = Anchor.Full then Anchor.Partial else oldstate in
+      let newanchor =
+        Anchor.set_count (Anchor.set_state with_avail st)
+          (Anchor.count oldanchor + n)
+      in
+      Rt.fence t.rt;
+      Rt.label t.rt Labels.bc_flush_cas;
+      if Rt.Atomic.compare_and_set desc.anchor oldanchor newanchor then
+        if oldstate = Anchor.Full then pushed_full else pushed
+      else begin
+        bump t t.retry_free;
+        flush_push t desc bases n (Backoff.spin t.rt spins)
+      end
     end
 
   (* Push a batch of blocks of ONE superblock back in one anchor CAS: the
@@ -1306,55 +1313,9 @@ module Make (Rt : Mm_runtime.Runtime_intf.S) = struct
      [free_small]. [count = maxcount - n] at the CAS means our n blocks
      were the only allocated ones (so no Active word can reference the
      descriptor), generalizing the paper's n = 1 emptiness test. *)
-  let flush_group t (desc : Descriptor.t) bases =
-    let n = List.length bases in
-    let sb = desc.Descriptor.sb in
-    let rec push spins =
-      let oldanchor = Rt.Atomic.get desc.Descriptor.anchor in
-      let rec chain = function
-        | [] -> ()
-        | [ last ] -> Store.write_word t.store last (Anchor.avail oldanchor)
-        | a :: (next :: _ as rest) ->
-            Store.write_word t.store a ((next - sb) / desc.Descriptor.sz);
-            chain rest
-      in
-      chain bases;
-      let with_avail =
-        Anchor.set_avail oldanchor ((List.hd bases - sb) / desc.Descriptor.sz)
-      in
-      let oldstate = Anchor.state oldanchor in
-      if Anchor.count oldanchor = desc.Descriptor.maxcount - n then begin
-        let heap_gid = desc.Descriptor.heap_gid in
-        Rt.fence t.rt;
-        let newanchor = Anchor.set_state with_avail Anchor.Empty in
-        Rt.fence t.rt;
-        Rt.label t.rt Labels.bc_flush_cas;
-        if
-          Rt.Atomic.compare_and_set desc.Descriptor.anchor oldanchor newanchor
-        then (oldstate, true, heap_gid)
-        else begin
-          bump t t.retry_free;
-          push (Backoff.spin t.rt spins)
-        end
-      end
-      else begin
-        let st = if oldstate = Anchor.Full then Anchor.Partial else oldstate in
-        let newanchor =
-          Anchor.set_count (Anchor.set_state with_avail st)
-            (Anchor.count oldanchor + n)
-        in
-        Rt.fence t.rt;
-        Rt.label t.rt Labels.bc_flush_cas;
-        if
-          Rt.Atomic.compare_and_set desc.Descriptor.anchor oldanchor newanchor
-        then (oldstate, false, -1)
-        else begin
-          bump t t.retry_free;
-          push (Backoff.spin t.rt spins)
-        end
-      end
-    in
-    finish_push t desc (push Backoff.initial)
+  let flush_group t desc bases =
+    finish_push t desc
+      (flush_push t desc bases (List.length bases) Backoff.initial)
 
   let flush_batch t payloads =
     (* Group by descriptor, preserving first-seen order so simulated runs
@@ -1409,11 +1370,7 @@ module Make (Rt : Mm_runtime.Runtime_intf.S) = struct
     Descriptor.fold_live t.table ~init:() ~f:(fun () d ->
         let a = Rt.Atomic.get d.Descriptor.anchor in
         if Anchor.state a <> Anchor.Empty && d.Descriptor.sb <> Addr.null then begin
-          let sc =
-            match Sc.class_of_request t.classes (d.Descriptor.sz - 8) with
-            | Some sc -> sc
-            | None -> -1
-          in
+          let sc = Sc.class_of_request t.classes (d.Descriptor.sz - 8) in
           let live, free =
             Option.value (Hashtbl.find_opt live_by_class sc) ~default:(0, 0)
           in

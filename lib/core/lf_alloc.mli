@@ -138,12 +138,14 @@ module Make (Rt : Mm_runtime.Runtime_intf.S) : sig
       transitions). Payloads must be block payloads as returned by
       {!malloc} / {!refill_batch}. Does not count toward {!op_counts}. *)
 
-  val classify : t -> int -> [ `Large | `Small of int * int * bool ]
-  (** [classify t payload] resolves [payload] (following an aligned-alloc
-      offset prefix if present) and reports what kind of block it is:
-      [`Large], or [`Small (base_payload, sc, local)] where [local] says
-      the block's superblock belongs to the calling thread's processor
-      heap. Applies {!free}'s wild-pointer guard ([Invalid_argument] on a
-      non-block address). Read-only: the caller decides to cache, buffer
+  val classify : t -> int -> int -> int
+  (** [classify t payload w], [w] being the word just below [payload]
+      (read by the caller, who gets the block's base payload from it with
+      {!Mm_mem.Block_prefix.base_payload}): the processor-heap gid owning
+      the small block [payload] lies in (following an aligned-alloc
+      offset word if present), or [-1] for a large block. The size class
+      is [gid / nheaps t], the heap [gid mod nheaps t]. Applies {!free}'s
+      wild-pointer guard ([Invalid_argument] on a non-block address).
+      Read-only and allocation-free: the caller decides to cache, buffer
       or free. *)
 end

@@ -64,7 +64,9 @@ module Make (Rt : Mm_runtime.Runtime_intf.S) = struct
   let enabled t = t.depth > 0
   let depth t = t.depth
 
-  let bump t arr = arr.(Rt.self t.rt) <- arr.(Rt.self t.rt) + 1
+  let bump t arr =
+    let tid = Rt.self t.rt in
+    arr.(tid) <- arr.(tid) + 1
 
   let park t ~sc (d : Descriptor.t) =
     if t.depth = 0 then false

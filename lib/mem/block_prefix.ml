@@ -13,3 +13,6 @@ let is_offset w = w land 3 = 2
 let desc_id w = w lsr 2
 let large_len w = w lsr 2
 let offset_delta w = w lsr 2
+
+let base_payload payload w =
+  if is_offset w then payload - offset_delta w else payload

@@ -27,5 +27,10 @@ val large_len : int -> int
 val offset_delta : int -> int
 (** Only meaningful when [is_offset w]. *)
 
+val base_payload : int -> int -> int
+(** [base_payload payload w], [w] being the word just below [payload]:
+    the payload of the block [payload] lies in — [payload] itself, or for
+    an offset marker the payload [offset_delta w] bytes further down. *)
+
 val prefix_bytes : int
 (** 8: the distance between a block's base and its payload. *)

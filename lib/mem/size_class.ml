@@ -54,7 +54,8 @@ let block_size t i = t.sizes.(i)
 let blocks_per_superblock t i = t.sbsize / t.sizes.(i)
 let large_threshold t = t.large_threshold
 
+let large = -1
+
 let class_of_request t n =
   if n < 0 then invalid_arg "Size_class.class_of_request: negative size";
-  if n > t.large_threshold then None
-  else Some t.lookup.((n + 7) / 8)
+  if n > t.large_threshold then large else t.lookup.((n + 7) / 8)

@@ -26,6 +26,12 @@ val blocks_per_superblock : t -> int -> int
 val large_threshold : t -> int
 (** Largest request (payload bytes) served from superblocks. *)
 
-val class_of_request : t -> int -> int option
+val large : int
+(** [-1]: the {!class_of_request} result for a request served as a large
+    block. *)
+
+val class_of_request : t -> int -> int
 (** Smallest class whose blocks fit a request of [n] payload bytes, or
-    [None] if the request must be served as a large block. [n >= 0]. *)
+    {!large} if the request must be served as a large block. [n >= 0].
+    An unboxed result: the malloc fast paths call this once per
+    operation, and an [int option] would cost them a heap block. *)

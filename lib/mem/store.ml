@@ -19,6 +19,17 @@ type os_stats = {
 let page = 4096
 let round_pages n = (n + page - 1) / page * page
 
+(* The real runtime's dead-region sentinel: zero length, so every word
+   access to it falls out of bounds, which is exactly the tolerant
+   dead-region answer (reads 0, writes dropped). *)
+let dead = { bytes = Bytes.empty; base = 0; len = 0; clean = false }
+
+(* [Addr.region]/[Addr.offset], open-coded: without cross-module inlining
+   (dune's dev profile compiles with -opaque) each would be a call on
+   every word access. *)
+let offset_bits = Addr.offset_bits
+let max_offset = Addr.max_offset
+
 module Make (Rt : Mm_runtime.Runtime_intf.S) = struct
   let page = page
   module Ts = Mm_lockfree.Treiber_stack.Make (Rt)
@@ -28,6 +39,11 @@ module Make (Rt : Mm_runtime.Runtime_intf.S) = struct
     rt : Rt.t;
     capacity : int;
     regions : region option Rt.atomic array;
+    direct : region array;
+        (* [regions] without the atomic cell and the option, [dead] for
+           an unmapped id: the real runtime's word path. Kept in step by
+           [install]/[unmap_region]; an address only reaches another
+           domain through an atomic published after its [install]. *)
     next_id : int Rt.atomic;
     free_ids : int Ts.t;  (* recycled region ids (large blocks) *)
     sb_pool : int Ts.t;  (* recycled superblock region ids, bytes kept *)
@@ -53,6 +69,7 @@ module Make (Rt : Mm_runtime.Runtime_intf.S) = struct
       rt;
       capacity;
       regions = Array.init capacity (fun _ -> Rt.Atomic.make rt None);
+      direct = Array.make capacity dead;
       next_id = Rt.Atomic.make rt 1 (* region 0 reserved: Addr.null *);
       free_ids = Ts.create rt;
       sb_pool = Ts.create rt;
@@ -97,7 +114,9 @@ module Make (Rt : Mm_runtime.Runtime_intf.S) = struct
           failwith "Store: region table exhausted (raise ~capacity)";
         id
 
-  let install t id region = Rt.Atomic.set t.regions.(id) (Some region)
+  let install t id region =
+    t.direct.(id) <- region;
+    Rt.Atomic.set t.regions.(id) (Some region)
 
   (* One simulated mmap of [len] bytes; [slices] regions are carved out of
      it (1 for large blocks / plain superblocks, [sbs_per_hyper] for
@@ -181,6 +200,7 @@ module Make (Rt : Mm_runtime.Runtime_intf.S) = struct
         Rt.Atomic.incr t.munmap_calls;
         Space.add_mapped t.space (-round_pages r.len);
         Rt.Atomic.set t.regions.(id) None;
+        t.direct.(id) <- dead;
         Ts.push t.free_ids id
 
   let free_large t addr =
@@ -225,53 +245,64 @@ module Make (Rt : Mm_runtime.Runtime_intf.S) = struct
      reads can legitimately target a region retired between the read of
      the anchor and the dereference, and [~racy:true] grants the same
      licence to in-region offsets read under a race. *)
-  let oob_check _t addr off len ~racy ~what =
-    if (not racy) && Rt.is_sim then
+  let oob_check addr off len ~racy ~what =
+    if not racy then
       failwith
         (Printf.sprintf "Store.%s: out-of-bounds offset %d (region len %d) at %d"
            what off len addr)
 
-  (* On the real runtime the word accessors inline the exact body of
-     {!Real_rt.read_word}/[write_word] (a bare little-endian [Bytes]
-     access), skipping the indirect call through the functor argument and
-     the cache-line attribution only the simulator consumes — the same
-     [Rt.is_sim] constant-fold [write_payload_round] uses below. *)
+  (* Word access. The simulator resolves the region through the atomic
+     table (a schedule-visible step) and charges the access to its cache
+     model. The real runtime reads the plain [direct] table and inlines
+     the bare little-endian [Bytes] access of {!Real_rt.read_word} /
+     [write_word], skipping the call through the functor argument; a
+     dead id yields [dead], whose zero length sends it down the tolerant
+     out-of-bounds branch. *)
 
   let read_word ?(racy = false) t addr =
-    match region_of t addr with
-    | None -> 0
-    | Some r ->
-        let off = Addr.offset addr in
-        if off < 0 || off + 8 > r.len then begin
-          oob_check t addr off r.len ~racy ~what:"read_word";
-          0
-        end
-        else if Rt.is_sim then
-          Rt.read_word t.rt r.bytes (r.base + off) ~line:(Addr.line addr)
-        else Int64.to_int (Bytes.get_int64_le r.bytes (r.base + off))
+    if Rt.is_sim then
+      match region_of t addr with
+      | None -> 0
+      | Some r ->
+          let off = Addr.offset addr in
+          if off < 0 || off + 8 > r.len then begin
+            oob_check addr off r.len ~racy ~what:"read_word";
+            0
+          end
+          else Rt.read_word t.rt r.bytes (r.base + off) ~line:(Addr.line addr)
+    else begin
+      let id = addr lsr offset_bits and off = addr land max_offset in
+      let r = if id < t.capacity then Array.unsafe_get t.direct id else dead in
+      if off + 8 > r.len then 0
+      else Int64.to_int (Bytes.get_int64_le r.bytes (r.base + off))
+    end
 
   let write_word ?(racy = false) t addr v =
-    match region_of t addr with
-    | None -> ()
-    | Some r ->
-        let off = Addr.offset addr in
-        if off < 0 || off + 8 > r.len then
-          oob_check t addr off r.len ~racy ~what:"write_word"
-        else if Rt.is_sim then
-          Rt.write_word t.rt r.bytes (r.base + off) ~line:(Addr.line addr) v
-        else Bytes.set_int64_le r.bytes (r.base + off) (Int64.of_int v)
-
-  (* Resolve a payload address against its 8-byte block prefix: follows an
-     aligned_alloc offset word down to the block base. Returns
-     (base payload, base prefix word, delta). *)
-  let resolve t payload =
-    let prefix = read_word t (payload - Block_prefix.prefix_bytes) in
-    if Block_prefix.is_offset prefix then begin
-      let delta = Block_prefix.offset_delta prefix in
-      let base = payload - delta in
-      (base, read_word t (base - Block_prefix.prefix_bytes), delta)
+    if Rt.is_sim then
+      match region_of t addr with
+      | None -> ()
+      | Some r ->
+          let off = Addr.offset addr in
+          if off < 0 || off + 8 > r.len then
+            oob_check addr off r.len ~racy ~what:"write_word"
+          else
+            Rt.write_word t.rt r.bytes (r.base + off) ~line:(Addr.line addr) v
+    else begin
+      let id = addr lsr offset_bits and off = addr land max_offset in
+      let r = if id < t.capacity then Array.unsafe_get t.direct id else dead in
+      if off + 8 <= r.len then
+        Bytes.set_int64_le r.bytes (r.base + off) (Int64.of_int v)
     end
-    else (payload, prefix, 0)
+
+  (* Follow an aligned_alloc offset word down to the block base. The
+     caller has read [w], the word below [payload], itself, so the
+     common case (an ordinary prefix) costs no second read and no
+     allocation. *)
+  let resolve t payload w =
+    if Block_prefix.is_offset w then
+      read_word t
+        (Block_prefix.base_payload payload w - Block_prefix.prefix_bytes)
+    else w
 
   let init_free_list ?limit t addr ~sz ~maxcount =
     match region_of t addr with

@@ -134,12 +134,14 @@ module Make (Rt : Mm_runtime.Runtime_intf.S) : sig
   val read_word : ?racy:bool -> t -> int -> int
   val write_word : ?racy:bool -> t -> int -> int -> unit
 
-  val resolve : t -> int -> int * int * int
-  (** [resolve t payload] follows the 8-byte block prefix below [payload]
-      (and, for [Alloc_ops.aligned_alloc] results, its offset word) down
-      to the block base: returns [(base_payload, base_prefix, delta)].
-      Allocator [free]/[usable_size] paths use this to accept aligned
-      addresses. *)
+  val resolve : t -> int -> int -> int
+  (** [resolve t payload w], where [w] is the word just below [payload]
+      (read by the caller with {!read_word}): the prefix of the block
+      [payload] lies in — [w] itself, or, when [w] is an
+      [Alloc_ops.aligned_alloc] offset marker, the underlying block's
+      prefix (one more word read). {!Block_prefix.base_payload} gives the
+      matching base payload. Allocator [free]/[usable_size] paths use
+      this to accept aligned addresses without allocating. *)
 
   val init_free_list : ?limit:int -> t -> int -> sz:int -> maxcount:int -> unit
   (** Thread the in-block free list of a fresh superblock: block [i]'s first

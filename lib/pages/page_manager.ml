@@ -73,7 +73,9 @@ module Make (Rt : Mm_runtime.Runtime_intf.S) = struct
       fallbacks_n = Array.make Rt.max_threads 0;
     }
 
-  let bump t arr = arr.(Rt.self t.rt) <- arr.(Rt.self t.rt) + 1
+  let bump t arr =
+    let tid = Rt.self t.rt in
+    arr.(tid) <- arr.(tid) + 1
   let span_pages t = 1 lsl t.span_order
 
   (* Smallest buddy order covering [len] bytes. *)

@@ -11,6 +11,7 @@ let () =
       ("rt", Test_rt.cases);
       ("lockfree", Test_lockfree.cases);
       ("store", Test_store.cases);
+      ("hot-path", Test_hot_path.cases);
       ("desc", Test_desc.cases);
       ("conformance", Test_alloc_conformance.cases);
       ("lf-alloc", Test_lf_alloc.cases);

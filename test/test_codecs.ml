@@ -165,11 +165,11 @@ let sc_smallest_fit =
   qcheck "class_of_request picks the smallest adequate class"
     QCheck2.Gen.(int_range 0 4000)
     (fun n ->
-      match Sc.class_of_request sc n with
-      | None -> n > Sc.large_threshold sc
-      | Some c ->
-          let fits c = Sc.block_size sc c - 8 >= n in
-          fits c && (c = 0 || not (fits (c - 1))))
+      let c = Sc.class_of_request sc n in
+      if c = Sc.large then n > Sc.large_threshold sc
+      else
+        let fits c = Sc.block_size sc c - 8 >= n in
+        fits c && (c = 0 || not (fits (c - 1))))
 
 let sc_block_geometry () =
   for i = 0 to Sc.count sc - 1 do
@@ -185,8 +185,8 @@ let sc_block_geometry () =
 let sc_large_threshold () =
   let t = Sc.large_threshold sc in
   Alcotest.(check bool) "threshold request is small" true
-    (Sc.class_of_request sc t <> None);
-  Alcotest.(check (option int)) "beyond threshold is large" None
+    (Sc.class_of_request sc t <> Sc.large);
+  Alcotest.(check int) "beyond threshold is large" Sc.large
     (Sc.class_of_request sc (t + 1))
 
 let sc_sbsize_validation () =

@@ -51,7 +51,7 @@ let fixtures_flagged () =
     "S2: stale expected + double commit" [ 14; 24 ]
     (lines "cas-loop-progress" "test/sa_fixtures/lib/core/bad_retry.ml" r);
   Alcotest.(check (list int))
-    "S3: unfenced publish (fenced twin clean)" [ 16 ]
+    "S3: unfenced publish + unfenced chain (fenced twins clean)" [ 16; 49 ]
     (lines "write-before-publish" "test/sa_fixtures/lib/core/bad_publish.ml"
        r);
   Alcotest.(check (list int))
@@ -62,7 +62,7 @@ let fixtures_flagged () =
     "S4: pages fixture" [ 9 ]
     (lines "label-dominance" "test/sa_fixtures/lib/pages/bad_order_cas.ml" r);
   (* ... and nothing else: the real tree contributes no findings *)
-  Alcotest.(check int) "only fixture findings" 10
+  Alcotest.(check int) "only fixture findings" 11
     (List.length r.D.findings);
   List.iter
     (fun (f : F.t) ->
@@ -70,12 +70,11 @@ let fixtures_flagged () =
         Alcotest.failf "real-tree finding: %s" (Format.asprintf "%a" F.pp f))
     r.D.findings;
   (* the covered fixture violation moved to the suppressed list,
-     alongside the real tree's three documented suppressions *)
+     alongside the real tree's two documented suppressions *)
   Alcotest.(check (list (pair string string)))
     "suppressed"
     [
       ("lib/core/desc_pool.ml", "hp-protocol");
-      ("lib/core/lf_alloc.ml", "write-before-publish");
       ("lib/mem/space.ml", "label-dominance");
       ("test/sa_fixtures/lib/core/sup_ok.ml", "write-before-publish");
     ]
@@ -100,7 +99,6 @@ let real_tree_clean () =
     "documented suppressions"
     [
       ("lib/core/desc_pool.ml", "hp-protocol");
-      ("lib/core/lf_alloc.ml", "write-before-publish");
       ("lib/mem/space.ml", "label-dominance");
     ]
     (suppressed_pairs r)
@@ -117,10 +115,10 @@ let analysis_filter () =
         f.F.rule)
     r.D.findings;
   Alcotest.(check (list int))
-    "S3 fixture still fires" [ 16 ]
+    "S3 fixtures still fire" [ 16; 49 ]
     (lines "write-before-publish" "test/sa_fixtures/lib/core/bad_publish.ml"
        r);
-  Alcotest.(check int) "S4 fixtures filtered out" 1
+  Alcotest.(check int) "S4 fixtures filtered out" 2
     (List.length r.D.findings)
 
 let cases =
