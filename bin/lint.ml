@@ -1,9 +1,12 @@
-(* mm-lint CLI: static analysis of the repository's own sources.
+(* mm-lint CLI: the syntactic rules over the repository's own sources
+   (raw-primitive, blocking-in-lockfree, label-registry, sim-capability;
+   DESIGN.md §11). The flow-sensitive CAS-window and hazard-pointer
+   disciplines are mm-sa's (bin/sa.ml).
 
      dune exec bin/lint.exe --                      # lint lib/ and bin/
      dune exec bin/lint.exe -- --format json
      dune exec bin/lint.exe -- --root . lib/core
-     dune exec bin/lint.exe -- --rule unlabelled-cas-window lib
+     dune exec bin/lint.exe -- --rule label-registry lib
 
    Suppress a finding in source, adjacent to the code it excuses:
 
@@ -95,14 +98,15 @@ let run root paths format rules =
       in
       let fmt = Format.std_formatter in
       (match format with
-      | `Text -> Mm_lint.Report.text fmt r
-      | `Json -> Mm_lint.Report.json fmt r);
+      | `Text -> Mm_report.Output.text fmt r
+      | `Json -> Mm_report.Output.json fmt r);
       if r.D.errors <> [] then 1 else if r.D.findings <> [] then 2 else 0
 
 let () =
   let doc =
-    "Static analysis proving the label/atomics/hazard-pointer discipline \
-     of the lock-free allocator sources (rules: "
+    "Syntactic static analysis of the lock-free allocator sources: \
+     atomics confinement, lock-freedom, the label registry and the \
+     simulator capability boundary (rules: "
     ^ String.concat ", " (List.map R.name R.all)
     ^ ")."
   in

@@ -28,11 +28,10 @@ module Make (Rt : Mm_runtime.Runtime_intf.S) = struct
     (* Shared spill stack, inline over the descriptors' next_id links with
        the same packed tag|id head word as Tagged_id_stack (24-bit ids,
        tag-bumping pops). Inline rather than a Tagged_id_stack with label
-       parameters so the desc.spill / desc.steal labels sit adjacent to
-       their CAS (mm-lint R1 covers them); passing registry labels to
-       Tis.create here would discharge every Tis obligation in this module
-       at once (mm-sa's module-level S4 overrides) and hide the tagged
-       variant's desc.alloc window from the static nets. *)
+       parameters: passing registry labels to Tis.create here would
+       discharge every Tis obligation in this module at once (mm-sa's
+       module-level S4 overrides) and hide the tagged variant's
+       desc.alloc window from label-dominance. *)
     spill_head : int Rt.atomic;
     next_of : int -> int;  (* descriptor id -> its next_id link *)
     on_spill_retry : unit -> unit;
@@ -292,12 +291,10 @@ module Make (Rt : Mm_runtime.Runtime_intf.S) = struct
     | Hazard_v p -> Hp.flush p.hp
     | Tagged_v _ | Reuse_v _ -> ()
 
-  (* mm-lint: allow hp-protect: available is a quiescent-only diagnostic
+  (* mm-sa: allow hp-protocol: available is a quiescent-only diagnostic
      (tests and stats probes call it with no concurrent pool traffic), so
      walking the freelist without hazard protection cannot race a reuse;
      protecting every hop would serialize the walk for no safety gain. *)
-  (* mm-sa: allow hp-protocol: same quiescent-only diagnostic walk; the
-     unprotected next_d hops are exactly the hp-protect exemption above. *)
   let available t =
     match t.variant with
     | Hazard_v p ->

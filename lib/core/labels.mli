@@ -11,11 +11,11 @@
     The discipline this registry rests on — every CAS retry loop of
     Figs. 4-7 carries a label inside its read-to-CAS window, [all] lists
     every binding exactly once, and every binding is used — is no longer
-    a manual audit: mm-lint ([lib/lint], rules unlabelled-cas-window and
-    label-registry, DESIGN.md §11) enforces it on every [dune runtest]
-    via the [@lint] alias. The lock-free building blocks (MS queue,
-    Treiber stack, tagged id stack) carry their own labels in
-    [Mm_lockfree.Lf_labels]. *)
+    a manual audit: mm-sa's label-dominance ([lib/sa], DESIGN.md §16)
+    and mm-lint's label-registry ([lib/lint], DESIGN.md §11) enforce it
+    on every [dune runtest] via the [@sa] and [@lint] aliases. The
+    lock-free building blocks (MS queue, Treiber stack, tagged id stack)
+    carry their own labels in [Mm_lockfree.Lf_labels]. *)
 
 val ma_read_active : string
 (** MallocFromActive: read Active, before the reservation CAS. *)

@@ -1,37 +1,16 @@
-type t =
-  | Unlabelled_cas_window
-  | Raw_primitive
-  | Blocking_in_lockfree
-  | Hp_protect
-  | Label_registry
-  | Sim_capability
+type t = Raw_primitive | Blocking_in_lockfree | Label_registry | Sim_capability
 
-let all =
-  [
-    Unlabelled_cas_window;
-    Raw_primitive;
-    Blocking_in_lockfree;
-    Hp_protect;
-    Label_registry;
-    Sim_capability;
-  ]
+let all = [ Raw_primitive; Blocking_in_lockfree; Label_registry; Sim_capability ]
 
 let name = function
-  | Unlabelled_cas_window -> "unlabelled-cas-window"
   | Raw_primitive -> "raw-primitive"
   | Blocking_in_lockfree -> "blocking-in-lockfree"
-  | Hp_protect -> "hp-protect"
   | Label_registry -> "label-registry"
   | Sim_capability -> "sim-capability"
 
 let of_name s = List.find_opt (fun r -> name r = s) all
 
 let describe = function
-  | Unlabelled_cas_window ->
-      "every Rt.Atomic.compare_and_set in lib/core, lib/lockfree and \
-       lib/mem must have an Rt.label between the shared-word read and \
-       the CAS (Figs. 4-7: the overlapping read-modify-write windows the \
-       schedule explorer and fault injector interpose at)"
   | Raw_primitive ->
       "no Stdlib.Atomic, Domain, Mutex or Condition outside the real \
        runtime backend (lib/runtime/real_rt.ml and rt_base.ml); \
@@ -40,10 +19,6 @@ let describe = function
   | Blocking_in_lockfree ->
       "no Locks.* reachable from lib/core, lib/lockfree or lib/mem: \
        lock-freedom holds by construction"
-  | Hp_protect ->
-      "a descriptor reached from a shared freelist head must be \
-       hazard-pointer protected and the head re-validated before its \
-       link field is dereferenced (Fig. 7 DescAlloc / SafeRead)"
   | Label_registry ->
       "every Rt.label string comes from Labels.all / Lf_labels.all; \
        registry entries are unique, listed in [all], and used"

@@ -1,56 +1,8 @@
-(* Per-file rules R1-R4, plus R5's literal-label check. The cross-file
-   half of R5 (registry consistency and usage) lives in Registry. *)
+(* Per-file rules R2, R3 and R6, plus R5's literal-label check. The
+   cross-file half of R5 (registry consistency and usage) lives in
+   Registry. *)
 
 let path_str p = String.concat "." p
-
-(* R1: every CAS must carry a label inside its read->CAS window. The
-   window of a CAS at offset [c] starts at the lexically nearest
-   preceding Rt.Atomic.get in the same top-level item (or the item start
-   when the CAS has no preceding read, e.g. an install CAS whose
-   expected value is a constant). An adversarial scheduler can only
-   interpose in windows that contain an Rt.label — and only a label
-   that {e dominates} the CAS counts: a label in a sibling branch (the
-   other arm of the if in a two-armed retry loop, say) never runs on
-   the path that reaches this CAS. *)
-let r1 (src : Source.t) (it : Scan.item) =
-  let gets =
-    List.filter_map
-      (fun (a : Scan.app) ->
-        if Scan.is_atomic_get a.fn then Some a.acnum else None)
-      it.apps
-  in
-  let labels =
-    List.filter_map
-      (fun (a : Scan.app) ->
-        if Scan.is_label a.fn then Some (a.acnum, a.abranch) else None)
-      it.apps
-  in
-  List.filter_map
-    (fun (a : Scan.app) ->
-      if not (Scan.is_cas a.fn) then None
-      else
-        let window_start =
-          List.fold_left
-            (fun acc g -> if g < a.acnum && g > acc then g else acc)
-            it.start_cnum gets
-        in
-        if
-          List.exists
-            (fun (l, lb) ->
-              window_start < l && l < a.acnum
-              && Scan.dominates lb a.abranch)
-            labels
-        then None
-        else
-          Some
-            (Finding.v ~rule:Rule.Unlabelled_cas_window ~file:src.Source.path
-               ~line:a.aline ~col:a.acol
-               (Printf.sprintf
-                  "%s has no Rt.label between the shared-word read and the \
-                   CAS; the retry window is invisible to the schedule \
-                   explorer and the kill/stall monitor"
-                  (path_str a.fn))))
-    it.apps
 
 (* R2: raw multicore primitives are confined to the real runtime
    backend (real_rt.ml and its base rt_base.ml) — the one place that is
@@ -101,52 +53,6 @@ let r3 (src : Source.t) (it : Scan.item) =
                    must hold by construction"
                   (path_str r.rpath)))
       | _ -> None)
-    it.refs
-
-(* R4: descriptors are type-stable and reused (never freed back to the
-   GC), so reading a descriptor's freelist link after popping it from a
-   shared head is only safe once a hazard pointer protects it AND the
-   head has been re-read to prove the descriptor was still reachable
-   after the protection was published (Fig. 7; Michael's SafeRead).
-   Lexically: every read of a [next_d] field must be preceded, within
-   the same top-level item, by an Hp.protect that is itself followed by
-   another Rt.Atomic.get before the dereference. *)
-let r4 (src : Source.t) (it : Scan.item) =
-  let gets =
-    List.filter_map
-      (fun (a : Scan.app) ->
-        if Scan.is_atomic_get a.fn then Some a.acnum else None)
-      it.apps
-  in
-  let protects =
-    List.filter_map
-      (fun (a : Scan.app) ->
-        if Scan.is_hp_protect a.fn then Some a.acnum else None)
-      it.apps
-  in
-  List.filter_map
-    (fun (r : Scan.reference) ->
-      let is_link_read =
-        r.rkind = Scan.Field
-        && match List.rev r.rpath with "next_d" :: _ -> true | _ -> false
-      in
-      if not is_link_read then None
-      else if
-        List.exists
-          (fun p ->
-            p < r.rcnum
-            && List.exists (fun g -> p < g && g < r.rcnum) gets)
-          protects
-      then None
-      else
-        Some
-          (Finding.v ~rule:Rule.Hp_protect ~file:src.Source.path ~line:r.rline
-             ~col:r.rcol
-             (Printf.sprintf
-                "%s read without a hazard-pointer protect followed by a \
-                 re-validating read; a concurrently reused descriptor makes \
-                 this dereference garbage"
-                (path_str r.rpath))))
     it.refs
 
 (* R5 (per-file half): Rt.label must be fed from the registries, never a
@@ -266,10 +172,8 @@ let check_file (src : Source.t) =
     (fun it ->
       List.concat
         [
-          (if lockfree then r1 src it else []);
           (if raw_allowed then [] else r2 src it);
           (if lockfree then r3 src it else []);
-          (if section = Source.Core then r4 src it else []);
           (if lockfree then r5_literal src it else []);
           (if sim_control_allowed then [] else r6 src it);
         ])

@@ -1,38 +1,25 @@
-(** Lexical event extraction from a parsetree: per top-level item, every
-    identifier reference and every application with its source position.
-    Rules work on these flat, offset-ordered streams rather than on the
-    tree, because the disciplines they prove are about {e lexical
-    windows} (read → label → CAS; protect → re-read → dereference). *)
-
-type kind =
-  | Value  (** idents and (expression-position) constructors *)
-  | Field
-  | Type
-  | Module
+(** Syntactic event extraction from a parsetree: per top-level item,
+    every identifier reference and every application with its source
+    position. The rules are membership tests over these flat streams;
+    none depends on their order. *)
 
 type reference = {
   rpath : string list;  (** flattened longident, e.g. ["Rt";"Atomic";"get"] *)
-  rkind : kind;
   rline : int;
   rcol : int;
-  rcnum : int;  (** absolute character offset, orders events *)
 }
+(** An identifier, constructor, field, type or module reference. *)
 
 type app = {
   fn : string list;
   args : (Asttypes.arg_label * Parsetree.expression) list;
   aline : int;
   acol : int;
-  acnum : int;
-  abranch : int list;
-      (** path of enclosing if/match/try/function branches within the
-          item; conditions and scrutinees evaluate at the parent path *)
 }
 
 type item = {
   start_line : int;
   end_line : int;
-  start_cnum : int;
   refs : reference list;
   apps : app list;
 }
@@ -41,14 +28,7 @@ val items : Parsetree.structure -> item list
 val refs : Parsetree.structure -> reference list
 
 val ends_with : suffix:string list -> string list -> bool
-val is_atomic_get : string list -> bool
-val is_cas : string list -> bool
 val is_label : string list -> bool
-val is_hp_protect : string list -> bool
 
 val string_arg : app -> string option
 (** First literal-string argument of an application, if any. *)
-
-val dominates : int list -> int list -> bool
-(** [dominates p q]: an event at branch path [p] runs on every path to
-    an event at [q] — [p] is a prefix of [q]. *)

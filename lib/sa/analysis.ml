@@ -19,8 +19,10 @@ let describe = function
   | Hp_protocol ->
       "S1: a descriptor popped from a shared freelist head must be \
        hazard-protected, re-validated by a fresh read of the head, and \
-       only then dereferenced; the hazard slot is released on every path \
-       (Fig. 7 SafeRead, checked flow-sensitively over the CFG)"
+       only then dereferenced; one of unknown provenance (a parameter, a \
+       helper's result) must be protected and then followed by an atomic \
+       read; the hazard slot is released on every path (Fig. 7 SafeRead, \
+       checked flow-sensitively over the CFG)"
   | Cas_loop_progress ->
       "S2: every CAS retry loop re-reads the contended word after each \
        backedge before using it as the CAS expected value (no \
@@ -31,8 +33,9 @@ let describe = function
        the CAS that publishes the block to other threads; unfenced \
        writes reachable from the CAS desired value are reported"
   | Label_dominance ->
-      "S4: the registry Rt.label dominates its CAS on every CFG path \
-       (upgrading the lexical R1), including calls into functions whose \
+      "S4: a registry Rt.label runs between the shared-word read and \
+       the CAS on every CFG path, helping CASes included, and inside \
+       every retry loop; this covers calls into functions whose \
        CAS window label is a parameter (Tagged_id_stack push/pop): such \
        calls must be dominated by a registry label, carry a registry \
        label argument, or the stack must be created with a registry \

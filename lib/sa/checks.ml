@@ -21,9 +21,11 @@ let node_finding analysis (fn : Cfg.fn) (n : Cfg.node) msg =
 (* S1 hp-protocol: protect -> re-validating read -> deref; slot
    released consistently across exits.
 
-   Per-value masks over {unprot, prot, valid}; values are only tracked
-   when they derive from an atomic read of a shared cell (an opaque
-   parameter is a documented gap, covered dynamically and by lint R4).
+   Per-value masks over {unprot, prot, valid}, with the value's source
+   cell when it derives from an atomic read. A value of unknown
+   provenance (a parameter, a helper's result) has no source cell to
+   re-read, so any atomic read after its protect validates it. A value
+   protected on only one side of a join is unprotected on the other.
    Backedges demote valid -> prot: the slot still holds the value, but
    the validation belongs to the previous iteration. *)
 
@@ -39,9 +41,13 @@ type s1 = {
 let s1_join a b =
   {
     hp =
-      SM.union
-        (fun _ (m1, c1) (m2, c2) ->
-          Some (m1 lor m2, if c1 = None then c2 else c1))
+      SM.merge
+        (fun _ x y ->
+          match (x, y) with
+          | Some (m1, c1), Some (m2, c2) ->
+              Some (m1 lor m2, if c1 = None then c2 else c1)
+          | Some (m, c), None | None, Some (m, c) -> Some (m lor unprot, c)
+          | None, None -> None)
         a.hp b.hp;
     held = SS.union a.held b.held;
   }
@@ -71,7 +77,9 @@ let s1_transfer (node : Cfg.node) s =
         hp =
           SM.map
             (fun (m, c) ->
-              if m land prot <> 0 && c = Some cell then (valid, c) else (m, c))
+              if m land prot <> 0 && (c = None || c = Some cell) then
+                (valid, c)
+              else (m, c))
             s.hp;
       }
   | _ -> s
@@ -93,15 +101,15 @@ let s1_check (fn : Cfg.fn) =
   Array.iteri
     (fun i node ->
       match (ins.(i), node.Cfg.n_ev) with
-      | Some s, Cfg.Ederef { v; field } when Cfg.read_source v <> None -> (
+      | Some s, Cfg.Ederef { v; field } -> (
           match SM.find_opt (Cfg.value_key v) s.hp with
           | None ->
               out :=
                 node_finding Analysis.Hp_protocol fn node
                   (Printf.sprintf
-                     "dereference of .%s on a descriptor read from a shared \
-                      cell without hazard protection (protect, then \
-                      re-validate with a fresh read, before dereferencing)"
+                     "dereference of .%s on a descriptor without hazard \
+                      protection (protect, then re-validate with a fresh \
+                      read, before dereferencing)"
                      field)
                 :: !out
           | Some (m, _) ->
@@ -117,8 +125,8 @@ let s1_check (fn : Cfg.fn) =
                   node_finding Analysis.Hp_protocol fn node
                     (Printf.sprintf
                        "descriptor is hazard-protected but not re-validated \
-                        by a fresh read of its source cell before .%s is \
-                        dereferenced" field)
+                        by a fresh atomic read before .%s is dereferenced"
+                       field)
                   :: !out)
       | _ -> ())
     cfg.Cfg.nodes;
@@ -289,22 +297,29 @@ let s3_check (fn : Cfg.fn) =
 
 (* ================================================================== *)
 (* S4 label-dominance: every CAS is dominated by an Rt.label on every
-   CFG path, re-established inside each retry loop. Intraprocedurally
-   the armed state is a may-set over
+   CFG path, re-established inside each retry loop and placed after
+   the read that opens the CAS window. Intraprocedurally the armed
+   state is a may-set over
 
      uentry     no label since function entry
      uback      no label since a retry backedge
+     uread      no label since the last atomic read
      reg        dominated by a registry-constant label
      param:<p>  dominated by a label taken from parameter/field <p>
      other      dominated by a label the analysis cannot classify
 
-   uback at a CAS is an immediate finding. uentry and param demands
-   flow to call sites: the interprocedural fixpoint discharges them
-   with a registry-labelled argument, a module-level create override,
-   or a dominating registry label at the call site. *)
+   A read adds uread and keeps the other tokens. uback or uread at a
+   CAS, helping CASes included, is an immediate finding: the explorer
+   can only interpose in a read->CAS window that holds a label. uentry
+   and param demands flow to call sites: the interprocedural fixpoint
+   discharges them with a registry-labelled argument, a module-level
+   create override, or a dominating registry label at the call site.
+   An uentry demand reaching a call made under uread is a finding
+   there: the caller's read opens a window the callee's CAS closes. *)
 
 let t_uentry = "uentry"
 let t_uback = "uback"
+let t_uread = "uread"
 let t_reg = "reg"
 let t_other = "other"
 let t_param p = "param:" ^ p
@@ -317,6 +332,7 @@ let s4_transfer (node : Cfg.node) s =
         | Cfg.Kreg _ -> t_reg
         | Cfg.Kparam p -> t_param p
         | Cfg.Kother -> t_other)
+  | Cfg.Eread _ -> SS.add t_uread s
   | _ -> s
 
 let s4_edge kind s =
@@ -377,6 +393,14 @@ let s4_summarize (fn : Cfg.fn) =
                    "CAS on %s is not dominated by an Rt.label inside its \
                     retry loop: the label must be re-established on every \
                     iteration" cell)
+              :: !findings
+          else if SS.mem t_uread armed then
+            findings :=
+              node_finding Analysis.Label_dominance fn node
+                (Printf.sprintf
+                   "CAS on %s has no Rt.label between the shared-word read \
+                    and the CAS on some path: the retry window is invisible \
+                    to the schedule explorer" cell)
               :: !findings
           else begin
             if SS.mem t_uentry armed then
@@ -514,6 +538,11 @@ let s4_interproc ~(infos : unit_info SM.t) (summaries : summary list) =
                               (Printf.sprintf
                                  "call to %s inside a retry loop without a \
                                   dominating Rt.label" what)
+                          else if d = Dentry && SS.mem t_uread c.c_armed then
+                            flag s.s_fn c.c_node
+                              (Printf.sprintf
+                                 "call to %s after a shared-word read with no \
+                                  Rt.label in between on some path" what)
                           else begin
                             if SS.mem t_uentry c.c_armed then begin
                               let o =

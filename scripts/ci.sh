@@ -1,9 +1,14 @@
 #!/bin/sh
-# Tier-1 gate: full build, static analysis (mm-lint and the
-# flow-sensitive mm-sa), then the whole test tree — the alcotest
-# suites plus the check-quick schedule-exploration gate and the
-# @lint / @sa aliases wired into `dune runtest` (see bin/dune and the
-# root dune file).
+# Tier-1 gate: full build, static analysis, then the whole test tree —
+# the alcotest suites plus the check-quick schedule-exploration gate
+# and the @lint / @sa aliases wired into `dune runtest` (see bin/dune
+# and the root dune file). One checker per discipline: mm-lint (§11)
+# checks the syntactic rules (raw primitives, blocking calls, the label
+# registry, the simulator capability boundary); mm-sa (§16) checks the
+# ordering disciplines over the typed ASTs (labelled read->CAS windows,
+# the hazard-pointer protocol, loop progress, fence-before-publish).
+# The test suite also runs both mutation walks: every Rt.label deletion
+# and every hazard-protocol step deletion must be caught.
 set -eu
 cd "$(dirname "$0")/.."
 dune build

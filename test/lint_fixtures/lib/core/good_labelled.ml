@@ -1,4 +1,4 @@
-(* Fixture: clean labelled CAS windows, plus a working suppression.
+(* Fixture: clean registry-labelled sites, plus a working suppression.
    Never compiled — parsed only by mm-lint's tests. *)
 
 let pop cell rt =
@@ -14,8 +14,9 @@ let push cell rt =
   ignore Labels.fx_push_dup;
   ignore Labels.fx_unlisted
 
-(* mm-lint: allow unlabelled-cas-window: fixture demonstrating that a
+(* mm-lint: allow label-registry: fixture demonstrating that a
    suppression moves the finding to the suppressed list *)
-let quiet cell =
+let quiet cell rt =
   let cur = Rt.Atomic.get cell in
+  Rt.label rt "fx_quiet";
   ignore (Rt.Atomic.compare_and_set cell cur 2)

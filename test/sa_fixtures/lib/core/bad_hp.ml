@@ -1,9 +1,9 @@
-(* Fixture: S1 hp-protocol. Three planted violations of the hazard
-   protocol (protect -> re-validating read -> deref -> release on every
-   path), one per failure shape — planted inside a [Make (Rt)] functor
-   body, as the real tree is written (DESIGN.md §18), so this fixture
-   also pins down that mm-sa descends into functor bodies. Compiled
-   only so mm-sa can read its typed AST; nothing links against it. *)
+(* Fixture: S1 hp-protocol. Planted violations of the hazard protocol
+   (protect -> re-validating read -> deref -> release on every path),
+   three on a descriptor read from the shared head and two (4, 5 below)
+   on a descriptor of unknown provenance. Planted inside a [Make (Rt)]
+   functor body like the real tree (DESIGN.md §18), so mm-sa must
+   descend into functor bodies. Compiled only for its typed AST. *)
 
 module Make (Rt : Mm_runtime.Runtime_intf.S) = struct
   module Hp = Mm_lockfree.Hazard_pointers.Make (Rt)
@@ -40,4 +40,35 @@ module Make (Rt : Mm_runtime.Runtime_intf.S) = struct
           n
         end
         else None
+
+  (* 4 and 5 have no source cell to re-read, so any atomic read after
+     the protect counts as the re-validation. *)
+
+  (* 4: a descriptor passed in as a parameter, never protected *)
+  let link_of (d : nd) = d.next_d
+
+  (* 5: a helper's result, protected but never re-validated *)
+  let first t =
+    match Rt.Atomic.get t.head with Some d -> d | None -> raise Exit
+
+  let first_link_stale t =
+    let d = first t in
+    Hp.protect t.hp ~slot:0 d;
+    let n = d.next_d in
+    Hp.clear t.hp ~slot:0;
+    n
+
+  (* clean twins of 4 and 5 *)
+  let link_of_protected t (d : nd) =
+    Hp.protect t.hp ~slot:0 d;
+    let n = if Rt.Atomic.get t.head == Some d then d.next_d else None in
+    Hp.clear t.hp ~slot:0;
+    n
+
+  let first_link t =
+    let d = first t in
+    Hp.protect t.hp ~slot:0 d;
+    let n = if Rt.Atomic.get t.head == Some d then d.next_d else None in
+    Hp.clear t.hp ~slot:0;
+    n
 end

@@ -11,8 +11,8 @@ type blk = { mutable hdr : int; mutable body : int }
 let publish_unfenced rt (head : blk option Rt.atomic) (b : blk) =
   b.hdr <- 1;
   b.body <- 2;
-  Rt.label rt Labels.desc_alloc;
   let cur = Rt.Atomic.get head in
+  Rt.label rt Labels.desc_alloc;
   if Rt.Atomic.compare_and_set head cur (Some b) then () else ()
 
 (* clean twin: the fence orders the stores before the publish *)
@@ -20,8 +20,8 @@ let publish_fenced rt (head : blk option Rt.atomic) (b : blk) =
   b.hdr <- 1;
   b.body <- 2;
   Rt.fence rt;
-  Rt.label rt Labels.desc_alloc;
   let cur = Rt.Atomic.get head in
+  Rt.label rt Labels.desc_alloc;
   if Rt.Atomic.compare_and_set head cur (Some b) then () else ()
 
 (* A batch chained through its link words by a loop, its tail linked to

@@ -15,10 +15,10 @@ let bump_stale rt (c : int Rt.atomic) =
   in
   go ()
 
-(* 2: second result-bearing CAS in the same labelled window *)
+(* 2: second result-bearing CAS in the same labelled window (no read
+   in between, so both CASes sit in the one read->label->CAS window) *)
 let double_commit rt (c : int Rt.atomic) =
-  Rt.label rt Labels.desc_alloc;
   let a = Rt.Atomic.get c in
+  Rt.label rt Labels.desc_alloc;
   let _ = Rt.Atomic.compare_and_set c a 1 in
-  let b = Rt.Atomic.get c in
-  if Rt.Atomic.compare_and_set c b 2 then () else ()
+  if Rt.Atomic.compare_and_set c a 2 then () else ()

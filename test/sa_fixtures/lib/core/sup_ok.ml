@@ -12,6 +12,6 @@ type blk = { mutable hdr : int }
    itself is what is under test here. *)
 let publish_suppressed rt (head : blk option Rt.atomic) (b : blk) =
   b.hdr <- 1;
-  Rt.label rt Labels.desc_alloc;
   let cur = Rt.Atomic.get head in
+  Rt.label rt Labels.desc_alloc;
   if Rt.Atomic.compare_and_set head cur (Some b) then () else ()

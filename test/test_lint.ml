@@ -1,7 +1,8 @@
 (* mm-lint checked: every rule fires on its planted fixture, the real
    tree is clean (modulo the documented suppressions), and deleting
-   any Rt.label line from the lock-free sections is caught — by R1 when
-   the label guards a CAS window, by R5's unused-entry check otherwise.
+   any Rt.label line from the lock-free sections is caught — by mm-sa's
+   label-dominance when the label guards a CAS window, by R5's
+   unused-entry check otherwise.
 
    The tests run against the _build source mirror: dune copies every
    library source there because the test links every library, so the
@@ -31,11 +32,6 @@ let tree_root () =
   in
   up (Sys.getcwd ())
 
-let contains ~sub s =
-  let n = String.length sub and m = String.length s in
-  let rec at i = i + n <= m && (String.sub s i n = sub || at (i + 1)) in
-  n = 0 || at 0
-
 let count rule file r =
   List.length
     (List.filter
@@ -46,16 +42,10 @@ let fixtures_flagged () =
   let root = Filename.concat (tree_root ()) "test/lint_fixtures" in
   let r = D.run ~root ~paths:[ "lib" ] in
   Alcotest.(check (list (pair string string))) "no errors" [] r.D.errors;
-  Alcotest.(check int) "R1 fixture" 1
-    (count R.Unlabelled_cas_window "lib/core/bad_cas_window.ml" r);
-  Alcotest.(check int) "R1 fixture (pages)" 1
-    (count R.Unlabelled_cas_window "lib/pages/bad_buddy_cas.ml" r);
   Alcotest.(check int) "R2 fixture" 5
     (count R.Raw_primitive "lib/core/bad_raw_mutex.ml" r);
   Alcotest.(check int) "R3 fixture" 2
     (count R.Blocking_in_lockfree "lib/core/bad_blocking.ml" r);
-  Alcotest.(check int) "R4 fixture: both failure shapes" 2
-    (count R.Hp_protect "lib/core/bad_hp_deref.ml" r);
   Alcotest.(check int) "R5 fixture: literal label" 1
     (count R.Label_registry "lib/core/bad_literal_label.ml" r);
   Alcotest.(check int) "R5 fixture: dup + orphan + unlisted" 3
@@ -70,15 +60,14 @@ let fixtures_flagged () =
           Alcotest.(check int) ("clean " ^ file) 0 (count rule file r))
         R.all)
     [ "lib/core/good_labelled.ml"; "lib/lockfree/good_ring.ml";
-      "lib/lockfree/lf_labels.ml"; "lib/pages/pg_labels.ml" ];
+      "lib/lockfree/lf_labels.ml" ];
   (* the fixture suppression moved its finding to the suppressed list *)
   Alcotest.(check int) "suppressed count" 1 (List.length r.D.suppressed);
   match r.D.suppressed with
   | [ f ] ->
       Alcotest.(check string) "suppressed file" "lib/core/good_labelled.ml"
         f.F.file;
-      Alcotest.(check string) "suppressed rule" "unlabelled-cas-window"
-        f.F.rule
+      Alcotest.(check string) "suppressed rule" "label-registry" f.F.rule
   | _ -> Alcotest.fail "expected exactly one suppressed finding"
 
 let unknown_suppression_rule_is_error () =
@@ -101,14 +90,11 @@ let real_tree_clean () =
     (fun f ->
       Alcotest.failf "real tree finding: %s" (Format.asprintf "%a" F.pp f))
     r.D.findings;
-  (* exactly the documented suppressions (space.ml bump_peak,
-     desc_pool.ml available, and the obs ring's host-side cursor —
-     four references inside one module item, DESIGN.md §12) *)
+  (* exactly the documented suppressions: the obs ring's host-side
+     cursor — four references inside one module item, DESIGN.md §12 *)
   Alcotest.(check (list (pair string string)))
     "documented suppressions"
     [
-      ("lib/core/desc_pool.ml", "hp-protect");
-      ("lib/mem/space.ml", "unlabelled-cas-window");
       ("lib/obs/ring.ml", "raw-primitive");
       ("lib/obs/ring.ml", "raw-primitive");
       ("lib/obs/ring.ml", "raw-primitive");
@@ -117,18 +103,15 @@ let real_tree_clean () =
     (List.sort compare
        (List.map (fun (f : F.t) -> (f.F.file, f.F.rule)) r.D.suppressed))
 
-(* Deleting any Rt.label line must be caught by lint ∪ sa: by R1 when
-   the label guards a syntactically visible CAS window, by R5's
-   unused-entry check otherwise — and, where the window lives behind a
-   parameterized call so no syntactic rule can see it, by mm-sa's
-   label-dominance analysis. The pool's tagged-variant desc_alloc
-   label is exactly that case (PR 2 documented it as the sole
-   undetectable site): its item has no CAS of its own (the window is
-   inside Tis.pop) and the registry entry stays used by the hazard
-   variant. mm-sa's interprocedural demand on Tis.pop now closes that
-   blind spot, so the undetected set must be empty — and the
-   lint-blind-but-sa-caught set must be exactly that one line, the
-   regression guard for the closure. *)
+(* Deleting any Rt.label line must be caught by R5 ∪ sa: by mm-sa's
+   label-dominance when the label opens a CAS window (on the path from
+   the read to the CAS, in this function or behind a parameterized call
+   such as Tis.pop), by R5's unused-entry check when the label is the
+   last use of its registry entry. The undetected set must be empty.
+   The labels only R5 catches are census markers that open no CAS
+   window of their own: scheduling points. They are pinned here so a
+   marker that starts guarding a CAS (or a window label that loses its
+   CAS) shows up as a change to this list. *)
 let label_deletion_detected () =
   let root = tree_root () in
   let sa_root = Test_sa.repo_root () in
@@ -156,13 +139,14 @@ let label_deletion_detected () =
         in
         (Mm_sa.Driver.analyze_units units).Mm_sa.Driver.findings <> []
   in
-  let deletions = ref 0 and undetected = ref [] and sa_only = ref [] in
+  let r5 = R.name R.Label_registry in
+  let deletions = ref 0 and undetected = ref [] and r5_only = ref [] in
   List.iter
     (fun (src : Src.t) ->
       let lines = String.split_on_char '\n' src.Src.text in
       List.iteri
         (fun i line ->
-          if contains ~sub:"Rt.label" line then begin
+          if Test_sa.find_sub ~sub:"Rt.label" line <> None then begin
             incr deletions;
             let text' =
               String.concat "\n"
@@ -179,32 +163,39 @@ let label_deletion_detected () =
                       if s.Src.path = src.Src.path then src' else s)
                     sources
                 in
-                let r = D.lint_sources tree in
-                if r.D.findings = [] then
-                  if sa_detects src.Src.path text' then
-                    sa_only := (src.Src.path, String.trim line) :: !sa_only
-                  else
-                    undetected :=
-                      (src.Src.path, String.trim line) :: !undetected
+                let by_r5 =
+                  List.exists
+                    (fun (f : F.t) -> f.F.rule = r5)
+                    (D.lint_sources tree).D.findings
+                in
+                let site = (src.Src.path, String.trim line) in
+                match (by_r5, sa_detects src.Src.path text') with
+                | false, false -> undetected := site :: !undetected
+                | true, false -> r5_only := site :: !r5_only
+                | _, true -> ()
           end)
         lines)
     sources;
   (* the walk actually exercised the instrumentation points *)
   Alcotest.(check bool) "saw many label sites" true (!deletions > 20);
   Alcotest.(check (list (pair string string)))
-    "every label deletion is detected by lint or sa" []
+    "every label deletion is detected by R5 or sa" []
     (List.rev !undetected);
-  match !sa_only with
-  | [ (file, line) ]
-    when Filename.basename file = "desc_pool.ml"
-         && contains ~sub:"Labels.desc_alloc" line ->
-      ()
-  | l ->
-      Alcotest.failf
-        "expected exactly the tagged-variant desc_alloc deletion to need \
-         mm-sa; got: %s"
-        (String.concat "; "
-           (List.map (fun (f, ln) -> f ^ ": " ^ ln) l))
+  (* "Rt.label t.rt Labels.free_empty;" -> "free_empty" *)
+  let registry_entry (_, line) =
+    let last = List.hd (List.rev (String.split_on_char '.' line)) in
+    String.concat "" (String.split_on_char ';' last)
+  in
+  Alcotest.(check (list string))
+    "the marker labels are the ones only R5 catches"
+    [
+      "free_empty";
+      "ma_popped";
+      "ma_reserved";
+      "mp_got_partial";
+      "ua_return_credits";
+    ]
+    (List.sort compare (List.map registry_entry !r5_only))
 
 let cases =
   [

@@ -112,20 +112,19 @@ let alias_tracking () =
     (count "cas-loop-progress" fs)
 
 (* Partial application walks as a plain call; an iterator lambda
-   inlines as a weak loop, so the label armed before List.iter still
-   dominates the helping CAS inside it. *)
+   inlines as a weak loop, so the label armed (after the read) before
+   List.iter still dominates the helping CAS inside it. *)
 let partial_application_weak_loop () =
   let u =
     tc
       "open Mm_runtime\n\
        open Mm_core\n\
        let push_all rt (c : int Rt.atomic) xs =\n\
+      \  let v = Rt.Atomic.get c in\n\
       \  Rt.label rt Labels.desc_alloc;\n\
       \  let bump = ( + ) 1 in\n\
       \  List.iter\n\
-      \    (fun x ->\n\
-      \      let v = Rt.Atomic.get c in\n\
-      \      ignore (Rt.Atomic.compare_and_set c v (bump v + x)))\n\
+      \    (fun x -> ignore (Rt.Atomic.compare_and_set c v (bump v + x)))\n\
       \    xs\n"
   in
   let fn = the_function u in
