@@ -88,12 +88,34 @@ let larson_test name =
          I.instance_free inst slots.(s);
          slots.(s) <- I.instance_malloc inst (Mm_runtime.Prng.int_in rng 16 80)))
 
+(* Threadtest in miniature: malloc [churn_blocks] 8-byte blocks into a
+   preallocated array, then free them in order; one row is a whole
+   round, [2 * churn_blocks] operations. At twice the cache depth every
+   "new-cached" round misses and overflows, whatever the cache held
+   before it, so the row reaches the batched refill and overflow flush
+   that the all-hit malloc+free row never does. *)
+let churn_blocks = 2 * real_cfg.Cfg.cache_blocks
+
+let churn_test name =
+  let inst = Mm_harness.Allocators.make name Mm_runtime.Rt.real real_cfg in
+  let blocks = Array.make churn_blocks 0 in
+  Test.make
+    ~name:(Printf.sprintf "churn/%s" name)
+    (Staged.stage (fun () ->
+         for i = 0 to churn_blocks - 1 do
+           blocks.(i) <- I.instance_malloc inst 8
+         done;
+         for i = 0 to churn_blocks - 1 do
+           I.instance_free inst blocks.(i)
+         done))
+
 (* The bechamel rows, as (group, tests). *)
 let groups () =
   [
     ( "latency",
       List.map pair_test Mm_harness.Allocators.names
       @ List.map larson_test Mm_harness.Allocators.names
+      @ List.map churn_test Mm_harness.Allocators.names
       @ List.map lock_test
           [
             ("tas-backoff", Cfg.Tas_backoff);

@@ -17,6 +17,7 @@ module Make (Rt : Mm_runtime.Runtime_intf.S) = struct
     lens : int array;
     remote : int array;  (* mixed-class buffer of remote-heap payloads *)
     mutable remote_len : int;
+    batch : int array;  (* the overflow flush's [cache_batch] blocks *)
   }
 
   type stats = {
@@ -62,6 +63,7 @@ module Make (Rt : Mm_runtime.Runtime_intf.S) = struct
         lens = Array.make nclasses 0;
         remote = Array.make cfg.cache_batch Addr.null;
         remote_len = 0;
+        batch = Array.make cfg.cache_batch Addr.null;
       }
     in
     {
@@ -114,35 +116,43 @@ module Make (Rt : Mm_runtime.Runtime_intf.S) = struct
         else begin
           bump_at tid t.misses;
           Rt.obs_event t.rt Rt.Obs.Transition "bc.miss";
-          match
-            Lf_alloc.refill_batch t.backend ~sc ~max:t.cfg.cache_batch
-          with
-          | [] ->
-              (* No active superblock: the ordinary Fig. 4 slow paths
-                 (partial / new superblock) install one. *)
-              Lf_alloc.malloc t.backend n
-          | payload :: rest ->
-              bump_at tid t.refills;
-              add_at tid t.refilled_blocks (1 + List.length rest);
-              Rt.obs_event t.rt Rt.Obs.Transition "bc.refill";
-              List.iter
-                (fun p ->
-                  c.stacks.(sc).(c.lens.(sc)) <- p;
-                  c.lens.(sc) <- c.lens.(sc) + 1)
-                rest;
-              payload
+          (* The empty stack takes the batch ([cache_batch <=
+             cache_blocks]); its length stays 0 until the batch is in. *)
+          let st = c.stacks.(sc) in
+          let got =
+            Lf_alloc.refill_batch t.backend ~sc ~max:t.cfg.cache_batch st
+          in
+          if got = 0 then
+            (* No active superblock: the ordinary Fig. 4 slow paths
+               (partial / new superblock) install one. *)
+            Lf_alloc.malloc t.backend n
+          else begin
+            bump_at tid t.refills;
+            add_at tid t.refilled_blocks got;
+            Rt.obs_event t.rt Rt.Obs.Transition "bc.refill";
+            (* Hand out the first block popped; the rest stack in pop
+               order. *)
+            let payload = st.(0) in
+            Array.blit st 1 st 0 (got - 1);
+            c.lens.(sc) <- got - 1;
+            payload
+          end
         end
       end
     end
 
+  (* Every flush forgets its blocks (lowers the length) BEFORE
+     publishing them: a thread killed inside the flush then leaks them,
+     whereas a cache still listing published blocks would hand them out
+     a second time when its thread id is reused. *)
   let flush_remote t tid (c : cache) =
-    if c.remote_len > 0 then begin
+    let n = c.remote_len in
+    if n > 0 then begin
       bump_at tid t.flushes;
-      add_at tid t.flushed_blocks c.remote_len;
+      add_at tid t.flushed_blocks n;
       Rt.obs_event t.rt Rt.Obs.Transition "bc.flush";
-      let batch = Array.to_list (Array.sub c.remote 0 c.remote_len) in
       c.remote_len <- 0;
-      Lf_alloc.flush_batch t.backend batch
+      Lf_alloc.flush_batch t.backend c.remote n
     end
 
   (* Overflow eviction: flush the [cache_batch] oldest (bottom-of-stack)
@@ -153,10 +163,10 @@ module Make (Rt : Mm_runtime.Runtime_intf.S) = struct
     add_at tid t.flushed_blocks k;
     Rt.obs_event t.rt Rt.Obs.Transition "bc.flush";
     let st = c.stacks.(sc) in
-    let batch = Array.to_list (Array.sub st 0 k) in
+    Array.blit st 0 c.batch 0 k;
     Array.blit st k st 0 (c.lens.(sc) - k);
     c.lens.(sc) <- c.lens.(sc) - k;
-    Lf_alloc.flush_batch t.backend batch
+    Lf_alloc.flush_batch t.backend c.batch k
 
   let free t payload =
     if not t.enabled then Lf_alloc.free t.backend payload
@@ -197,9 +207,8 @@ module Make (Rt : Mm_runtime.Runtime_intf.S) = struct
           bump_at tid t.flushes;
           add_at tid t.flushed_blocks len;
           Rt.obs_event t.rt Rt.Obs.Transition "bc.flush";
-          let batch = Array.to_list (Array.sub c.stacks.(sc) 0 len) in
           c.lens.(sc) <- 0;
-          Lf_alloc.flush_batch t.backend batch
+          Lf_alloc.flush_batch t.backend c.stacks.(sc) len
         end)
       c.lens;
     flush_remote t tid c

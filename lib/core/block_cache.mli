@@ -11,6 +11,13 @@
     therefore still lock-free, and the frontend adds no retry window
     beyond the labelled batched CASes ([bc.*] in {!Labels}).
 
+    Batches move through arrays the cache owns: a refill writes into
+    the class's empty stack, and a flush reads a per-cache batch array
+    (overflow), the remote buffer or a stack. Neither path allocates
+    OCaml heap words. A flush forgets its blocks (lowers the length)
+    before it publishes them, so a thread killed mid-flush leaks them
+    rather than handing them out again when its cache is re-entered.
+
     With [cfg.cache = false] (the default) every operation passes
     straight through to the backend, preserving the verbatim paper
     allocator bit-for-bit; the harness name ["new-cached"] forces it on.

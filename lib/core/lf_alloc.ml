@@ -62,6 +62,11 @@ module Make (Rt : Mm_runtime.Runtime_intf.S) = struct
        rather than a possibly stale cross-thread descriptor field. *)
     ob : bool;
     owned : int array array;
+    (* Per-thread scratch of [flush_batch] (descriptor id per block,
+       then one descriptor's bases), [cache_blocks] long; empty
+       unless [cfg.cache], the only configuration that flushes. *)
+    flush_ids : int array array;
+    flush_bases : int array array;
   }
 
   (* The contention-site row set is the label registry's census grouping
@@ -132,6 +137,11 @@ module Make (Rt : Mm_runtime.Runtime_intf.S) = struct
              ~on_span_retry:(stripe retry_span_reserve) ())
       else None
     in
+    let scratch () =
+      if cfg.cache then
+        Array.init Rt.max_threads (fun _ -> Array.make cfg.cache_blocks 0)
+      else [||]
+    in
     {
       rt;
       cfg;
@@ -163,6 +173,8 @@ module Make (Rt : Mm_runtime.Runtime_intf.S) = struct
       retry_pub_claim = Array.make Rt.max_threads 0;
       ob = cfg.free_lists = `Owner_biased;
       owned = Array.init Rt.max_threads (fun _ -> Array.make nclasses 0);
+      flush_ids = scratch ();
+      flush_bases = scratch ();
     }
 
   let bump t arr =
@@ -956,50 +968,44 @@ module Make (Rt : Mm_runtime.Runtime_intf.S) = struct
       if not (Pub_word.owned oldpub) then ob_rescue t desc
     end
 
-  (* Batched push of one descriptor's group from the block cache: the
-     owner's groups go to the private list (plain writes); a remote
-     group is pre-chained and pushed onto pub in one CAS, then rescued
-     if the word was unowned — the batched form of [free_ob]. *)
-  let flush_group_ob t (desc : Descriptor.t) bases tid =
+  (* Batched push of one descriptor's group [bases.(0 .. n-1)] from the
+     block cache: the owner's groups go to the private list (plain
+     writes); a remote group is pre-chained and pushed onto pub in one
+     CAS, then rescued if the word was unowned — the batched form of
+     [free_ob]. *)
+  let flush_group_ob t (desc : Descriptor.t) bases n tid =
+    let sb = desc.Descriptor.sb and sz = desc.Descriptor.sz in
     let sc = desc.Descriptor.heap_gid / t.nheaps_ in
     if t.owned.(tid).(sc) = desc.Descriptor.id then
-      List.iter
-        (fun base ->
-          priv_push t desc base
-            ((base - desc.Descriptor.sb) / desc.Descriptor.sz))
-        bases
+      for i = 0 to n - 1 do
+        priv_push t desc bases.(i) ((bases.(i) - sb) / sz)
+      done
     else begin
-      let sb = desc.Descriptor.sb in
-      let n = List.length bases in
-      let first_idx = (List.hd bases - sb) / desc.Descriptor.sz in
-      let rec chain = function
-        | [] | [ _ ] -> ()
-        | a :: (next :: _ as rest) ->
-            Store.write_word t.store a ((next - sb) / desc.Descriptor.sz);
-            chain rest
+      for i = 0 to n - 2 do
+        Store.write_word t.store bases.(i) ((bases.(i + 1) - sb) / sz)
+      done;
+      let oldpub =
+        ob_push t desc ~last:bases.(n - 1) ~first_idx:((bases.(0) - sb) / sz)
+          ~n Backoff.initial
       in
-      chain bases;
-      let last = List.nth bases (n - 1) in
-      let oldpub = ob_push t desc ~last ~first_idx ~n Backoff.initial in
       if not (Pub_word.owned oldpub) then ob_rescue t desc
     end
 
   (* Batched refill for the block cache: hand out up to [want] private
-     blocks. An empty (or absent) private list returns [] and the cache
-     falls back to [malloc], whose owner paths run the refill/handoff
-     logic — cheap either way. *)
-  let refill_batch_ob t ~sc ~want =
+     blocks into [dst], in pop order. An empty (or absent) private list
+     writes none and the cache falls back to [malloc], whose owner paths
+     run the refill/handoff logic — cheap either way. *)
+  let refill_batch_ob t ~sc ~want dst =
     let tid = Rt.self t.rt in
     let id = t.owned.(tid).(sc) in
-    if id = 0 then []
+    if id = 0 then 0
     else begin
       let desc = Descriptor.get t.table id in
       let take = min want desc.Descriptor.priv_count in
-      let rec go k acc =
-        if k = 0 then List.rev acc
-        else go (k - 1) (finish_block t desc (priv_pop t desc) :: acc)
-      in
-      go take []
+      for i = 0 to take - 1 do
+        dst.(i) <- finish_block t desc (priv_pop t desc)
+      done;
+      take
     end
 
   (* ------------------------------------------------------------------ *)
@@ -1218,18 +1224,18 @@ module Make (Rt : Mm_runtime.Runtime_intf.S) = struct
       end
     end
 
-  (* Pop the whole batch in one anchor CAS: walk [Array.length addrs]
-     links of the in-superblock free list, recording the blocks in
-     [addrs], and swing avail past them. Each link read may return
-     garbage when racing — exactly Fig. 4 line 10's racy read, once per
-     block — and the tag bump in the CAS rejects any walk that observed
-     a mutated list. Returns the anchor the CAS replaced. *)
-  let rec bc_pop t (desc : Descriptor.t) ~took_last addrs spins =
+  (* Pop the whole batch in one anchor CAS: walk [take] links of the
+     in-superblock free list, recording the blocks in [dst.(0 .. take-1)],
+     and swing avail past them. Each link read may return garbage when
+     racing — exactly Fig. 4 line 10's racy read, once per block — and
+     the tag bump in the CAS rejects any walk that observed a mutated
+     list. Returns the anchor the CAS replaced. *)
+  let rec bc_pop t (desc : Descriptor.t) ~took_last dst take spins =
     let oldanchor = Rt.Atomic.get desc.anchor in
     let idx = ref (Anchor.avail oldanchor) in
-    for i = 0 to Array.length addrs - 1 do
+    for i = 0 to take - 1 do
       let addr = block_addr desc !idx in
-      addrs.(i) <- addr;
+      dst.(i) <- addr;
       idx := clamp_index (Store.read_word ~racy:true t.store addr)
     done;
     let newanchor = popped_anchor t ~took_last oldanchor !idx in
@@ -1237,24 +1243,27 @@ module Make (Rt : Mm_runtime.Runtime_intf.S) = struct
     if Rt.Atomic.compare_and_set desc.anchor oldanchor newanchor then oldanchor
     else begin
       bump t t.retry_pop;
-      bc_pop t desc ~took_last addrs (Backoff.spin t.rt spins)
+      bc_pop t desc ~took_last dst take (Backoff.spin t.rt spins)
     end
 
-  let refill_batch t ~sc ~max:want =
-    if want < 1 then invalid_arg "Lf_alloc.refill_batch: max must be >= 1";
-    if t.ob then refill_batch_ob t ~sc ~want
+  let refill_batch t ~sc ~max:want dst =
+    if want < 1 || want > Array.length dst then
+      invalid_arg "Lf_alloc.refill_batch: max must be in [1, length dst]";
+    if t.ob then refill_batch_ob t ~sc ~want dst
     else begin
       let heap = my_heap t sc in
       let oldactive = bc_reserve t heap want Backoff.initial in
-      if Active_word.is_null oldactive then []
+      if Active_word.is_null oldactive then 0
       else begin
         let desc = Descriptor.get t.table (Active_word.desc_id oldactive) in
         let take = min want (Active_word.credits oldactive + 1) in
         let took_last = take = Active_word.credits oldactive + 1 in
-        let addrs = Array.make take 0 in
-        let oldanchor = bc_pop t desc ~took_last addrs Backoff.initial in
+        let oldanchor = bc_pop t desc ~took_last dst take Backoff.initial in
         if took_last then after_last_pop t heap desc oldanchor;
-        Array.to_list (Array.map (fun addr -> finish_block t desc addr) addrs)
+        for i = 0 to take - 1 do
+          dst.(i) <- finish_block t desc dst.(i)
+        done;
+        take
       end
     end
 
@@ -1263,19 +1272,12 @@ module Make (Rt : Mm_runtime.Runtime_intf.S) = struct
     (* Link the batch first -> ... -> last -> old avail. The walk stays
        in this function so mm-sa's per-function S3 sees these stores
        ahead of the fence and the CAS that publishes them. *)
-    let rest = ref bases in
-    while !rest != [] do
-      match !rest with
-      | a :: (next :: _ as tl) ->
-          Store.write_word t.store a ((next - desc.sb) / desc.sz);
-          rest := tl
-      | last :: [] ->
-          Store.write_word t.store last (Anchor.avail oldanchor);
-          rest := []
-      | [] -> ()
+    for i = 0 to n - 2 do
+      Store.write_word t.store bases.(i) ((bases.(i + 1) - desc.sb) / desc.sz)
     done;
+    Store.write_word t.store bases.(n - 1) (Anchor.avail oldanchor);
     let with_avail =
-      Anchor.set_avail oldanchor ((List.hd bases - desc.sb) / desc.sz)
+      Anchor.set_avail oldanchor ((bases.(0) - desc.sb) / desc.sz)
     in
     let oldstate = Anchor.state oldanchor in
     if Anchor.count oldanchor = desc.maxcount - n then begin
@@ -1313,37 +1315,45 @@ module Make (Rt : Mm_runtime.Runtime_intf.S) = struct
      [free_small]. [count = maxcount - n] at the CAS means our n blocks
      were the only allocated ones (so no Active word can reference the
      descriptor), generalizing the paper's n = 1 emptiness test. *)
-  let flush_group t desc bases =
-    finish_push t desc
-      (flush_push t desc bases (List.length bases) Backoff.initial)
+  let flush_group t desc bases n =
+    finish_push t desc (flush_push t desc bases n Backoff.initial)
 
-  let flush_batch t payloads =
-    (* Group by descriptor, preserving first-seen order so simulated runs
-       stay deterministic, then push each group with one CAS. *)
-    let groups : (int, int list ref) Hashtbl.t = Hashtbl.create 8 in
-    let order = ref [] in
-    List.iter
-      (fun payload ->
-        let base = payload - Prefix.prefix_bytes in
-        let prefix = Store.read_word t.store base in
-        if Prefix.is_large prefix then free_large_block t base prefix
-        else begin
-          let id = Prefix.desc_id prefix in
-          match Hashtbl.find_opt groups id with
-          | Some r -> r := base :: !r
-          | None ->
-              Hashtbl.add groups id (ref [ base ]);
-              order := id :: !order
-        end)
-      payloads;
+  let flush_batch t src n =
+    if not t.cfg.cache || n > t.cfg.cache_blocks then
+      invalid_arg "Lf_alloc.flush_batch: needs cfg.cache and n <= cache_blocks";
     let tid = Rt.self t.rt in
-    List.iter
-      (fun id ->
+    (* Read every prefix once, in order, noting each block's descriptor
+       ([-1] for a large block, freed on the spot). *)
+    let ids = t.flush_ids.(tid) in
+    for i = 0 to n - 1 do
+      let base = src.(i) - Prefix.prefix_bytes in
+      let prefix = Store.read_word t.store base in
+      if Prefix.is_large prefix then begin
+        ids.(i) <- -1;
+        free_large_block t base prefix
+      end
+      else ids.(i) <- Prefix.desc_id prefix
+    done;
+    (* Then push each descriptor's group with one CAS, in first-seen
+       order and with its blocks in batch order, so simulated runs stay
+       deterministic. *)
+    let bases = t.flush_bases.(tid) in
+    for i = 0 to n - 1 do
+      let id = ids.(i) in
+      if id >= 0 then begin
+        let m = ref 0 in
+        for j = i to n - 1 do
+          if ids.(j) = id then begin
+            bases.(!m) <- src.(j) - Prefix.prefix_bytes;
+            incr m;
+            ids.(j) <- -1
+          end
+        done;
         let desc = Descriptor.get t.table id in
-        let bases = List.rev !(Hashtbl.find groups id) in
-        if t.ob then flush_group_ob t desc bases tid
-        else flush_group t desc bases)
-      (List.rev !order)
+        if t.ob then flush_group_ob t desc bases !m tid
+        else flush_group t desc bases !m
+      end
+    done
 
   let op_counts t =
     (Array.fold_left ( + ) 0 t.mallocs, Array.fold_left ( + ) 0 t.frees)

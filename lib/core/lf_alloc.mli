@@ -121,22 +121,31 @@ module Make (Rt : Mm_runtime.Runtime_intf.S) : sig
       compose with concurrent Fig. 4/6 operations and remain lock-free.
       Their CAS windows carry the [bc.*] labels. *)
 
-  val refill_batch : t -> sc:int -> max:int -> int list
-  (** [refill_batch t ~sc ~max] reserves up to [max] blocks of size class
-      [sc] from the calling thread's heap in ONE CAS on the Active word
-      (taking the word's remaining credits, at most [max]), then pops the
-      whole batch off the superblock free list in one tag-bumping anchor
-      CAS. Returns the payload addresses, newest-first; [[]] when the heap
-      has no active superblock (the caller falls back to {!malloc}, which
-      runs the ordinary MallocFromPartial / MallocFromNewSB paths and
-      installs a new Active word). Does not count toward {!op_counts}. *)
+  val refill_batch : t -> sc:int -> max:int -> int array -> int
+  (** [refill_batch t ~sc ~max dst] reserves up to [max] blocks of size
+      class [sc] from the calling thread's heap in ONE CAS on the Active
+      word (taking the word's remaining credits, at most [max]), then pops
+      the whole batch off the superblock free list in one tag-bumping
+      anchor CAS. It writes the payload addresses to [dst.(0 .. n-1)] in
+      pop order and returns [n]; the rest of [dst] is untouched. [0] means
+      the heap has no active superblock (the caller falls back to
+      {!malloc}, which runs the ordinary MallocFromPartial /
+      MallocFromNewSB paths and installs a new Active word). Allocates
+      no OCaml heap words. Raises [Invalid_argument] unless
+      [1 <= max <= Array.length dst]. Does not count toward
+      {!op_counts}. *)
 
-  val flush_batch : t -> int list -> unit
-  (** [flush_batch t payloads] frees a batch of (base) payloads, grouping
-      them by superblock and pushing each group back with one anchor CAS
-      (the amortized Fig. 6 push, including the EMPTY and FULL→PARTIAL
-      transitions). Payloads must be block payloads as returned by
-      {!malloc} / {!refill_batch}. Does not count toward {!op_counts}. *)
+  val flush_batch : t -> int array -> int -> unit
+  (** [flush_batch t src n] frees the (base) payloads [src.(0 .. n-1)],
+      grouping them by superblock in first-seen order and pushing each
+      group, in batch order, back with one anchor CAS (the amortized
+      Fig. 6 push, including the EMPTY and FULL→PARTIAL transitions).
+      [src] is read but never retained or written: the caller owns it
+      again on return. Payloads must be block payloads as returned by
+      {!malloc} / {!refill_batch}. Groups in per-thread scratch, so it
+      allocates no OCaml heap words; raises [Invalid_argument] unless
+      [t] was created with [cfg.cache] and [n <= cfg.cache_blocks]. Does
+      not count toward {!op_counts}. *)
 
   val classify : t -> int -> int -> int
   (** [classify t payload w], [w] being the word just below [payload]

@@ -156,10 +156,32 @@ let explorer_exclusivity () =
   | None -> ()
   | Some f -> Alcotest.failf "cached allocator violation: %s" f.E.error
 
+(* One burst of [n] mallocs by thread [tid], each block freed once. *)
+let local_round ~m ~f _tid n = Array.iter f (Array.init n (fun _ -> m ()))
+
+(* With two heaps, thread [tid] (heap [tid mod 2]) mails its burst to
+   thread [tid + 1 mod 4], on the other heap, and frees what it was
+   mailed: every free is remote and leaves through the remote buffer's
+   flush. Plain list operations between simulation points are atomic
+   under the scheduler; blocks still in a mailbox at the end stay
+   allocated. *)
+let remote_round mail ~m ~f tid n =
+  let burst = List.init n (fun _ -> m ()) in
+  let next = (tid + 1) mod 4 in
+  mail.(next) <- burst @ mail.(next);
+  let mine = mail.(tid) in
+  mail.(tid) <- [];
+  List.iter f mine
+
+let remote_cfg =
+  Cfg.make ~nheaps:2 ~sbsize:4096 ~maxcredits:8 ~desc_scan_threshold:1
+    ~cache:true ~cache_blocks:4 ~cache_batch:2 ()
+
 (* Kill a thread inside each batched CAS window. Its reserved or cached
    blocks leak, but the exclusivity oracle proves no survivor — nor a
-   fresh wave afterwards — is ever handed one of them. *)
-let kill_in_window label () =
+   fresh wave afterwards on all four thread ids, the killed one's stale
+   cache included — is ever handed one of them. *)
+let kill_in_window ~cfg ~round label () =
   let killed = ref (-1) in
   let on_label ~tid l =
     if l = label && !killed = -1 then begin
@@ -170,7 +192,7 @@ let kill_in_window label () =
   in
   let s = sim ~cpus:4 ~max_cycles:50_000_000_000 ~on_label () in
   let rt = s in
-  let t = Bc.create rt cached_cfg in
+  let t = Bc.create rt cfg in
   let orc = O.create_alloc () in
   let m () =
     let a = Bc.malloc t 8 in
@@ -182,10 +204,9 @@ let kill_in_window label () =
     Bc.free t a;
     O.free_returned orc p
   in
-  let body _tid =
+  let body tid =
     for _ = 1 to 2 do
-      let addrs = Array.init 30 (fun _ -> m ()) in
-      Array.iter f addrs
+      round ~m ~f tid 30
     done
   in
   (try ignore (Sim.run s (Array.init 4 (fun _ -> body)))
@@ -193,14 +214,7 @@ let kill_in_window label () =
   Alcotest.(check bool) ("kill fired: " ^ label) true (!killed >= 0);
   (* Fresh wave on the same heap: the killed thread's blocks must stay
      leaked — the oracle still holds them and would reject a re-issue. *)
-  try
-    ignore
-      (Sim.run s
-         [|
-           (fun _ ->
-             let addrs = Array.init 100 (fun _ -> m ()) in
-             Array.iter f addrs);
-         |])
+  try ignore (Sim.run s (Array.init 4 (fun _ tid -> round ~m ~f tid 100)))
   with O.Violation msg ->
     Alcotest.failf "leaked block re-allocated after kill: %s" msg
 
@@ -214,6 +228,14 @@ let cases =
     case "explorer: exclusivity with cache enabled" explorer_exclusivity;
   ]
   @ List.map
-      (fun l -> case ("kill inside " ^ l ^ " never double-allocates")
-          (kill_in_window l))
+      (fun l ->
+        case
+          ("kill inside " ^ l ^ " never double-allocates")
+          (kill_in_window ~cfg:cached_cfg ~round:local_round l))
       bc_labels
+  @ [
+      case "kill inside a remote flush never double-allocates"
+        (kill_in_window ~cfg:remote_cfg
+           ~round:(remote_round (Array.make 4 []))
+           L.bc_flush_cas);
+    ]

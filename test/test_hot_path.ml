@@ -47,10 +47,87 @@ let words_per_op name =
 
 let budget = 1.0
 
-let allocation_budget name () =
-  let w = words_per_op name in
+let check_budget what w =
   if w > budget then
-    Alcotest.failf "%s: %.2f minor words per op, budget %.1f" name w budget
+    Alcotest.failf "%s: %.2f minor words per op, budget %.1f" what w budget
+
+let allocation_budget name () = check_budget name (words_per_op name)
+
+(* The larson loop above lives on cache hits. The two loops below reach
+   the block cache's batched paths instead: every 16th miss refills and
+   every 16th overflow or remote free flushes. *)
+let burst = 4096
+let warm_rounds = 5
+let rounds = 20
+
+(* Threadtest-shaped: malloc [burst] 8-byte blocks, then free them in
+   allocation order — refills on the way up, overflow flushes on the
+   way down, and superblocks made and emptied every round. *)
+let batch_churn () =
+  let inst = instance "new-cached" Rt.real in
+  let blocks = Array.make burst 0 in
+  let round () =
+    for i = 0 to burst - 1 do
+      blocks.(i) <- I.instance_malloc inst 8
+    done;
+    for i = 0 to burst - 1 do
+      I.instance_free inst blocks.(i)
+    done
+  in
+  for _ = 1 to warm_rounds do
+    round ()
+  done;
+  let w0 = Gc.minor_words () in
+  for _ = 1 to rounds do
+    round ()
+  done;
+  let words = Gc.minor_words () -. w0 in
+  I.instance_check inst;
+  check_budget "new-cached threadtest loop"
+    (words /. float_of_int (2 * burst * rounds))
+
+(* Remote frees: one spawned domain (thread 1, heap 1) mallocs a burst,
+   the main domain (thread 0, heap 0) frees it, so every free goes
+   through the remote buffer and its batched flush. The two take turns
+   through [phase]; each counts its own domain's minor words over the
+   measured rounds. *)
+let remote_flush () =
+  let inst = instance ~cfg:(Cfg.make ~nheaps:2 ()) "new-cached" Rt.real in
+  let blocks = Array.make burst 0 in
+  let phase = Atomic.make 0 in
+  let await p =
+    while Atomic.get phase <> p do
+      Domain.cpu_relax ()
+    done
+  in
+  let total = warm_rounds + rounds in
+  let producer =
+    Domain.spawn (fun () ->
+        Domain.DLS.set Rt_base.dls_self 1;
+        let w0 = ref 0.0 in
+        for r = 0 to total - 1 do
+          await (2 * r);
+          if r = warm_rounds then w0 := Gc.minor_words ();
+          for i = 0 to burst - 1 do
+            blocks.(i) <- I.instance_malloc inst 8
+          done;
+          Atomic.set phase ((2 * r) + 1)
+        done;
+        Gc.minor_words () -. !w0)
+  in
+  let w0 = ref 0.0 in
+  for r = 0 to total - 1 do
+    await ((2 * r) + 1);
+    if r = warm_rounds then w0 := Gc.minor_words ();
+    for i = 0 to burst - 1 do
+      I.instance_free inst blocks.(i)
+    done;
+    Atomic.set phase ((2 * r) + 2)
+  done;
+  let words = Gc.minor_words () -. !w0 +. Domain.join producer in
+  I.instance_check inst;
+  check_budget "new-cached remote-free loop"
+    (words /. float_of_int (2 * burst * rounds))
 
 (* ------------------------------------------------------------------ *)
 (* The store's real word path. *)
@@ -147,4 +224,6 @@ let cases =
       case "real store: span region" span_region;
       case "real store: dead after free_large" dead_after_free_large;
       case "real store: past the region end is tolerant" past_region_end;
+      case "new-cached threadtest loop allocates <= 1 word per op" batch_churn;
+      case "new-cached remote frees allocate <= 1 word per op" remote_flush;
     ]
